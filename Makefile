@@ -31,7 +31,7 @@ vet:
 # run without -race: the race runtime allocates on the code's behalf, so
 # the gates skip themselves under it.
 allocgate:
-	$(GO) test -run 'TestHeuristicMatchZeroAllocs|TestMatchBatchZeroAllocs|TestLocalizeGroupAllocBudget|TestServeLocalizeAllocBudget|TestTraceNilPathZeroAllocs' -count 1 -v .
+	$(GO) test -run 'TestHeuristicMatchZeroAllocs|TestMatchBatchZeroAllocs|TestLocalizeGroupAllocBudget|TestServeLocalizeAllocBudget|TestSplitAllocBudget|TestTraceNilPathZeroAllocs' -count 1 -v .
 
 # fuzz runs every native fuzz target for FUZZTIME each (one -fuzz
 # invocation per target: go test allows a single fuzz target per run).
@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -fuzz FuzzHeuristicMatch -fuzztime $(FUZZTIME) ./internal/match/
 	$(GO) test -fuzz FuzzMatchBatchEquivalence -fuzztime $(FUZZTIME) ./internal/match/
 	$(GO) test -fuzz FuzzByzQuorumVote -fuzztime $(FUZZTIME) ./internal/byz/
+	$(GO) test -fuzz FuzzSourceMatchesStdlib -fuzztime $(FUZZTIME) ./internal/randx/
 
 # soak is the long-running serving load test (minutes, race-enabled);
 # not part of check.

@@ -8,6 +8,7 @@ package fttt_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"fttt/internal/core"
@@ -148,6 +149,37 @@ func TestLocalizeGroupAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSplitAllocBudget pins the cost of one randx substream. Sampling
+// splits one per reported node per round, so it must stay one small
+// object (~96 B); a seeded math/rand source would cost ~4.9 KB.
+func TestSplitAllocBudget(t *testing.T) {
+	skipUnderRace(t)
+	root := randx.New(1)
+	var sink *randx.Stream
+	for _, c := range []struct {
+		name  string
+		split func()
+	}{
+		{"Split", func() { sink = root.Split("loss") }},
+		{"SplitN", func() { sink = root.SplitN("node", 7) }},
+	} {
+		if allocs := testing.AllocsPerRun(200, c.split); allocs > 1 {
+			t.Errorf("%s allocates %.1f objects/stream, budget 1", c.name, allocs)
+		}
+		const runs = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			c.split()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 128 {
+			t.Errorf("%s allocates %d B/stream, budget 128", c.name, b)
+		}
+	}
+	_ = sink
+}
+
 // TestTraceNilPathZeroAllocs pins the tracing-off contract: with a nil
 // Tracer or nil *Recorder, every instrumentation entry point must cost
 // one pointer comparison and zero allocations, so always-on call sites
@@ -217,12 +249,11 @@ func TestServeLocalizeAllocBudget(t *testing.T) {
 		}
 		i++
 	})
-	// Dominated by deterministic substream derivation (every randx split
-	// builds a fresh math/rand source) plus the simulated sampling
-	// matrix; the serving wrapper itself adds only the request struct,
-	// done channel and batch slices. Headroom over the measured ~84; the
-	// point is catching order-of-magnitude regressions.
-	const budget = 120
+	// Substream derivation (one allocation per randx split) plus the
+	// simulated sampling matrix and vector; the serving wrapper itself
+	// adds only the request struct, done channel and batch slices.
+	// Headroom over the measured 34.
+	const budget = 48
 	if allocs > budget {
 		t.Errorf("served Localize allocates %.1f objects/op, budget %d", allocs, budget)
 	}

@@ -46,7 +46,6 @@ package byz
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"fttt/internal/obs"
 	"fttt/internal/sampling"
@@ -187,14 +186,18 @@ type Defense struct {
 	origValid bool
 	// lastSig is the previous round's matched signature — the trusted
 	// side of every witness-composition link that involves a suspect.
+	// Observe refreshes it only when it leaves the defense on alert, the
+	// one state in which the next Apply reads it.
 	lastSig vector.Vector
 	// weights is the pair-trust scratch returned by Apply.
 	weights []float64
-	// inv/tot are the per-round per-node residual counters; rates the
-	// per-round rate scratch for the fleet-median baseline; hadExcess
-	// remembers which nodes showed positive excess last round (the
-	// corroboration gate — see Observe).
-	inv, tot  []int
+	// counts are the per-round per-node residual counters, packed so one
+	// add updates both (see Observe's pair loop): informative pairs in
+	// the low 32 bits, inversions in the high 32. rates is the per-round
+	// rate scratch for the fleet-median baseline; hadExcess remembers
+	// which nodes showed positive excess last round (the corroboration
+	// gate — see Observe).
+	counts    []uint64
 	rates     []float64
 	hadExcess []bool
 
@@ -241,8 +244,7 @@ func New(cfg Config, n, k int, reg *obs.Registry) *Defense {
 		benignFloor: math.Pow(0.5, float64(k-1)),
 		evid:        make([]float64, n),
 		suspect:     make([]bool, n),
-		inv:         make([]int, n),
-		tot:         make([]int, n),
+		counts:      make([]uint64, n),
 		implausible: make([]bool, n),
 		reported:    make([]bool, n),
 		hadExcess:   make([]bool, n),
@@ -387,15 +389,42 @@ func QuorumVote(votes []Vote, minQuorum, threshold float64) (int, bool) {
 	return win, true
 }
 
-// median returns the median of xs (sorting it in place; lower-middle
-// for even lengths, so a clean half of the fleet keeps the baseline at
-// its level), or 0 for an empty slice.
+// median returns the median of xs (lower-middle for even lengths, so a
+// clean half of the fleet keeps the baseline at its level), or 0 for an
+// empty slice. It reorders xs in place: a quickselect that narrows
+// [lo, hi] around the median's sorted position. xs must hold no NaN.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sort.Float64s(xs)
-	return xs[(len(xs)-1)/2]
+	k := (len(xs) - 1) / 2
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		pivot := xs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // sign classifies a pair value: +1 / −1 for a strict relation, 0 for
@@ -572,6 +601,10 @@ func pairValIn(v vector.Vector, a, b, n int) vector.Value {
 	return -x
 }
 
+// unpackCounts splits a packed Observe counter into (informative pairs,
+// inversions).
+func unpackCounts(c uint64) (tot, inv uint32) { return uint32(c), uint32(c >> 32) }
+
 // Observe runs the defense's post-match learning phase: it charges each
 // node the inversions its pairs show against a per-pair reference
 // relation (strictly opposite signs — the contradiction benign noise
@@ -595,27 +628,37 @@ func (d *Defense) Observe(sig vector.Vector) {
 		return
 	}
 	d.origValid = false
-	for i := range d.inv {
-		d.inv[i], d.tot[i] = 0, 0
-	}
 	n := d.n
+	counts := d.counts[:n]
+	clear(counts)
 	idx := 0
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			o, s := d.orig[idx], sig[idx]
-			idx++
-			if o.IsStar() || s.IsStar() {
-				continue
+		// Row i holds pairs (i, i+1..n-1). One product classifies both
+		// values: pair values are Star (NaN) or finite in [−1, 1], so the
+		// product is NaN exactly when either is Star (the pair is
+		// uninformative) and negative exactly when both are nonzero with
+		// opposite signs (an inversion). Branch-free, because the
+		// outcome is as unpredictable as the reports.
+		row := d.orig[idx : idx+n-1-i]
+		srow := sig[idx : idx+len(row)]
+		col := counts[i+1:]
+		col = col[:len(row)]
+		idx += len(row)
+		var acc uint64
+		for c, o := range row {
+			p := o * srow[c]
+			var x uint64
+			if p == p {
+				x = 1
 			}
-			d.tot[i]++
-			d.tot[j]++
-			if so, ss := sign(o), sign(s); so != 0 && ss != 0 && so != ss {
-				d.inv[i]++
-				d.inv[j]++
+			if p < 0 {
+				x |= 1 << 32
 			}
+			acc += x
+			col[c] += x
 		}
+		counts[i] += acc
 	}
-	d.lastSig = append(d.lastSig[:0], sig...)
 	d.rounds++
 	// The charging baseline is the fleet's median inversion rate this
 	// round plus the Def. 8 benign allowance. An attack under way
@@ -631,9 +674,9 @@ func (d *Defense) Observe(sig vector.Vector) {
 	// alone creeps honest evidence over the watch level on long runs —
 	// which would break the honest byte-identity contract.
 	d.rates = d.rates[:0]
-	for i := 0; i < n; i++ {
-		if d.tot[i] > 0 {
-			d.rates = append(d.rates, float64(d.inv[i])/float64(d.tot[i]))
+	for _, c := range counts {
+		if tot, inv := unpackCounts(c); tot > 0 {
+			d.rates = append(d.rates, float64(inv)/float64(tot))
 		}
 	}
 	baseline := median(d.rates) + d.benignFloor
@@ -641,12 +684,13 @@ func (d *Defense) Observe(sig vector.Vector) {
 		if d.repValid && !d.reported[i] {
 			continue // silent node this round: evidence frozen
 		}
-		if d.tot[i] == 0 && !d.implausible[i] {
+		tot, inv := unpackCounts(counts[i])
+		if tot == 0 && !d.implausible[i] {
 			continue // no informative pairs: no evidence either way
 		}
 		rate := 0.0
-		if d.tot[i] > 0 {
-			rate = float64(d.inv[i]) / float64(d.tot[i])
+		if tot > 0 {
+			rate = float64(inv) / float64(tot)
 		}
 		excess := rate - baseline
 		if excess < 0 {
@@ -703,5 +747,8 @@ func (d *Defense) Observe(sig vector.Vector) {
 				break
 			}
 		}
+	}
+	if d.alert {
+		d.lastSig = append(d.lastSig[:0], sig...)
 	}
 }

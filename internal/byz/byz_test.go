@@ -2,9 +2,11 @@ package byz
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"fttt/internal/obs"
+	"fttt/internal/randx"
 	"fttt/internal/vector"
 )
 
@@ -175,6 +177,32 @@ func TestDetectsInvertingNode(t *testing.T) {
 	}
 }
 
+// TestLastSigFreshOnAlert pins the invariant Observe's conditional copy
+// relies on: whenever the defense leaves a round on alert, the next
+// Apply's suspect-link votes read exactly that round's signature.
+func TestLastSigFreshOnAlert(t *testing.T) {
+	const n = 8
+	d := New(Config{Enabled: true, MinRounds: 1}, n, 5, nil)
+	alerted := 0
+	for round := 0; round < 30; round++ {
+		v := honestVector(n)
+		corrupt(v, n, 2)
+		d.Apply(v)
+		sig := honestVector(n)
+		sig[round%sig.Dim()] = vector.Flipped // a distinct signature per round
+		d.Observe(sig)
+		if d.alert {
+			alerted++
+			if !vector.Equal(d.lastSig, sig) {
+				t.Fatalf("round %d: on alert with a stale lastSig", round)
+			}
+		}
+	}
+	if alerted == 0 {
+		t.Fatal("defense never went on alert")
+	}
+}
+
 // TestNoQuorumStarsOut: when too few witnesses remain to form a quorum,
 // a suspect's pairs degrade to Star instead of being trusted or guessed.
 func TestNoQuorumStarsOut(t *testing.T) {
@@ -238,5 +266,26 @@ func TestBenignFloor(t *testing.T) {
 	}
 	if d1 := New(Config{Enabled: true}, 4, 1, nil); d1.benignFloor != 1 {
 		t.Errorf("k=1 floor %v, want 1 (single instant certifies nothing)", d1.benignFloor)
+	}
+}
+
+// TestMedianMatchesSort pins the quickselect median to the sorted
+// lower-middle element, ties and duplicates included.
+func TestMedianMatchesSort(t *testing.T) {
+	rng := randx.New(5)
+	for trial := 0; trial < 500; trial++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		for i := range xs {
+			// Coarse values so ties are common, as quantized rates are.
+			xs[i] = float64(rng.Intn(6)) / 5
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		if got, want := median(xs), sorted[(len(sorted)-1)/2]; got != want {
+			t.Fatalf("trial %d: median(%v) = %v, want %v", trial, sorted, got, want)
+		}
+	}
+	if median(nil) != 0 {
+		t.Error("median(nil) must be 0")
 	}
 }

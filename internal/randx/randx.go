@@ -9,6 +9,11 @@
 // hashing the parent seed with a stream label (SplitMix64 finalisation),
 // which is cheap, collision-resistant for our purposes, and fully
 // deterministic.
+//
+// A stream draws exactly the values math/rand's seeded source would, but
+// seeds in O(1) (see source.go), and the stream, its source and its
+// rand.Rand share one allocation, so a substream per node per round is
+// cheap.
 package randx
 
 import (
@@ -21,12 +26,19 @@ import (
 // is not safe for concurrent use; split one substream per goroutine.
 type Stream struct {
 	seed uint64
-	rng  *rand.Rand
+	src  source
+	rng  rand.Rand
 }
 
-// New returns a stream rooted at seed.
+// New returns a stream rooted at seed. Its draws equal those of
+// rand.New(rand.NewSource(int64(mix(seed)))).
 func New(seed uint64) *Stream {
-	return &Stream{seed: seed, rng: rand.New(rand.NewSource(int64(mix(seed))))}
+	s := &Stream{seed: seed}
+	s.src.Seed(int64(mix(seed)))
+	// rand.New inlines, so the *Rand it returns stays on the stack and
+	// the copy into s is the only place it lives.
+	s.rng = *rand.New(&s.src)
+	return s
 }
 
 // Seed returns the seed this stream was created with.
@@ -36,18 +48,24 @@ func (s *Stream) Seed() uint64 { return s.seed }
 // is a pure function of (parent seed, label): the same pair always yields
 // the same child, regardless of how many values the parent has produced.
 func (s *Stream) Split(label string) *Stream {
-	h := s.seed
-	for _, b := range []byte(label) {
-		h = mix(h ^ uint64(b))
-	}
-	return New(mix(h ^ 0x9e3779b97f4a7c15))
+	return New(labelSeed(s.seed, label))
 }
 
 // SplitN derives an independent child stream identified by an integer
-// index, e.g. one stream per sensor node.
+// index, e.g. one stream per sensor node. Its seed is derived from the
+// seed Split(label) would use, without building that stream.
 func (s *Stream) SplitN(label string, n int) *Stream {
-	c := s.Split(label)
-	return New(mix(c.seed ^ mix(uint64(n)+0x632be59bd9b4e019)))
+	return New(mix(labelSeed(s.seed, label) ^ mix(uint64(n)+0x632be59bd9b4e019)))
+}
+
+// labelSeed is the seed of the child stream Split(label) derives from a
+// parent seeded with parent.
+func labelSeed(parent uint64, label string) uint64 {
+	h := parent
+	for i := 0; i < len(label); i++ {
+		h = mix(h ^ uint64(label[i]))
+	}
+	return mix(h ^ 0x9e3779b97f4a7c15)
 }
 
 // Float64 returns a uniform sample in [0, 1).
