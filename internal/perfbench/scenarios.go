@@ -131,6 +131,12 @@ func Suite() []Scenario {
 			MapsTo:  "DESIGN.md §16 sharding (router hop + HTTP cost over serve/roundtrip's in-process path)",
 			setup:   setupClusterRoundtrip,
 		},
+		{
+			Name: "serve/ingest", Kind: KindMacro, Seed: 29,
+			Summary: "in-process POST …/reports through Server.ServeHTTP: ~2 KB k=5 report on a 36-node grid, 2 m cells",
+			MapsTo:  "Sec. 4.4 base-station matching of reported groups; DESIGN.md §10 wire decoding",
+			setup:   setupServeIngest,
+		},
 	}
 }
 
@@ -635,4 +641,59 @@ func setupColdSession(sc Scenario) (*instance, error) {
 		}
 	}
 	return &instance{op: op, lat: lat}, nil
+}
+
+// replayBody is a rewindable request body, so one *http.Request can be
+// served every op without the harness allocating its own body.
+type replayBody struct{ bytes.Reader }
+
+func (*replayBody) Close() error { return nil }
+
+// setupServeIngest prices the report-ingestion route as the
+// ingest-shared benchmark drives it, minus the network: routing, body
+// read, wire decode, group validation, the batcher round-trip and the
+// JSON response, on 16 reports collected with sampling.Sampler (k=5,
+// 10% loss) along one target's random positions.
+func setupServeIngest(sc Scenario) (*instance, error) {
+	wsc := serve.SessionConfig{Seed: sc.Seed, GridNodes: 36, CellSize: 2}
+	cfg, err := wsc.CoreConfig()
+	if err != nil {
+		return nil, err
+	}
+	smp := &sampling.Sampler{Model: cfg.Model, Nodes: cfg.Nodes, Range: cfg.Range, ReportLoss: 0.1, Epsilon: cfg.Epsilon}
+	rng := randx.New(sc.Seed)
+	bodies := make([][]byte, 16)
+	for i := range bodies {
+		g := smp.Sample(geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95)), cfg.SamplingTimes, rng.SplitN("g", i))
+		if bodies[i], err = json.Marshal(serve.ReportWire{Target: "bench", RSS: g.RSS, Reported: g.Reported}); err != nil {
+			return nil, err
+		}
+	}
+	srv := serve.New(serve.Config{})
+	sess, err := srv.CreateSession(wsc)
+	if err != nil {
+		return nil, err
+	}
+	rb := &replayBody{}
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+sess.ID()+"/reports", nil)
+	req.Body = rb
+	lat := newLatencyRecorder()
+	var n int
+	op := func(tb *testing.B) {
+		tb.ReportAllocs()
+		for i := 0; i < tb.N; i++ {
+			body := bodies[n%len(bodies)]
+			start := time.Now()
+			rb.Reset(body)
+			req.ContentLength = int64(len(body))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				tb.Fatalf("reports: status %d: %s", rec.Code, rec.Body)
+			}
+			lat.observe(time.Since(start))
+			n++
+		}
+	}
+	return &instance{op: op, lat: lat, cleanup: func() { srv.CloseSession(sess.ID()) }}, nil
 }

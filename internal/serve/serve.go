@@ -311,10 +311,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var sc SessionConfig
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad session config: %w", err))
+	if !readWire(w, r, "session config", func(wb *wireBuf) error { return decodeStrict(wb.body, &sc) }) {
 		return
 	}
 	var sess *Session
@@ -409,8 +406,7 @@ func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var lw LocalizeWire
-	if err := json.NewDecoder(r.Body).Decode(&lw); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad localize body: %w", err))
+	if !readWire(w, r, "localize body", func(wb *wireBuf) error { return decodeLocalize(wb, &lw) }) {
 		return
 	}
 	if lw.Target == "" {
@@ -433,8 +429,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rw ReportWire
-	if err := json.NewDecoder(r.Body).Decode(&rw); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad report body: %w", err))
+	if !readWire(w, r, "report body", func(wb *wireBuf) error { return decodeReport(wb, &rw) }) {
 		return
 	}
 	if rw.Target == "" {

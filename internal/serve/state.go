@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -231,10 +230,7 @@ func (s *Server) handleStateExport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStateRestore(w http.ResponseWriter, r *http.Request) {
 	var st SessionState
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&st); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad session state: %w", err))
+	if !readWire(w, r, "session state", func(wb *wireBuf) error { return decodeStrict(wb.body, &st) }) {
 		return
 	}
 	id := r.PathValue("id")
