@@ -1,8 +1,9 @@
 GO ?= go
 FUZZTIME ?= 5s
-# perf harness knobs (DESIGN.md §11): where `make perf` writes its
-# report and which committed baseline `make perfcheck` judges against.
-PERF_OUT ?= BENCH_PR5.json
+# perf harness knobs (DESIGN.md §11): `make perf` writes its report to
+# PERF_OUT, which has no default (name the snapshot, e.g.
+# PERF_OUT=BENCH_PR<N>.json, so a bare run cannot overwrite a committed
+# one); PERF_BASELINE is the baseline `make perfcheck` judges against.
 PERF_BASELINE ?= results/perf/baseline.json
 
 .PHONY: build test race raceserve vet allocgate fuzz soak check bench tools clean \
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSourceMatchesStdlib -fuzztime $(FUZZTIME) ./internal/randx/
 	$(GO) test -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeLocalize -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/field/
 
 # soak is the long-running serving load test (minutes, race-enabled);
 # not part of check.
@@ -64,8 +66,9 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
 # perf runs the full-depth perfbench suite and writes $(PERF_OUT); use
-# it to seed the per-PR trajectory (BENCH_PR<N>.json).
+# it to seed the per-PR trajectory: make perf PERF_OUT=BENCH_PR<N>.json.
 perf:
+	@test -n "$(PERF_OUT)" || { echo "make perf: set PERF_OUT (e.g. make perf PERF_OUT=BENCH_PR<N>.json)" >&2; exit 2; }
 	$(GO) run ./cmd/fttt-perf run -o $(PERF_OUT)
 
 # perfcheck is the regression gate: run the suite at smoke depth and

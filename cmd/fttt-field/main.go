@@ -37,7 +37,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "seed for random deployment")
 		drawMap = flag.Bool("map", false, "print an ASCII face map")
 		top     = flag.Int("top", 10, "list the largest N faces")
-		save    = flag.String("save", "", "persist the computed division to this file (gob)")
+		save    = flag.String("save", "", "persist the computed division to this file (binary spill format, DESIGN.md §13)")
 		load    = flag.String("load", "", "load a persisted division instead of computing one")
 		svgOut  = flag.String("svg", "", "render the division (faces, sensors, boundary circles) to this SVG file")
 	)

@@ -74,7 +74,6 @@ func buildSigSoA(faces []Face) *SigSoA {
 		NumFaces: len(faces),
 		Dim:      dim,
 		Denom:    denom,
-		Cols:     make([]int8, dim*len(faces)),
 		Rows:     make([]int8, len(faces)*dim),
 		Words:    (dim + 63) / 64,
 	}
@@ -85,12 +84,21 @@ func buildSigSoA(faces []Face) *SigSoA {
 			return nil // CommonDenominator vouched for every value; defensive
 		}
 	}
+	s.deriveViews()
+	return s
+}
+
+// deriveViews fills the views derived from Rows: the Cols transpose and,
+// for pure ternary stores, the bitplanes. Divide and Load both end here,
+// so a loaded store is built by the same code as a divided one.
+func (s *SigSoA) deriveViews() {
+	nf, dim := s.NumFaces, s.Dim
+	s.Cols = make([]int8, dim*nf)
 	// Tiled transpose Rows → Cols: a naive double loop strides one of
 	// the two slabs by thousands of bytes per write, missing cache on
 	// every element. Square tiles keep both the 64-byte column runs and
 	// the tile's rows resident while they are traded.
 	const tile = 64
-	nf := len(faces)
 	for k0 := 0; k0 < dim; k0 += tile {
 		k1 := min(k0+tile, dim)
 		for f0 := 0; f0 < nf; f0 += tile {
@@ -107,29 +115,32 @@ func buildSigSoA(faces []Face) *SigSoA {
 	// any signature a custom classifier emits) contributes 0 to Def. 8
 	// regardless of the query, which the two-plane form cannot encode —
 	// it would alias a stored 0. Such stores keep the codes but no planes.
-	hasStar := false
-	for _, c := range s.Rows {
-		if c == vector.StarCode {
-			hasStar = true
-			break
-		}
+	if s.Denom != 1 {
+		return
 	}
-	if denom == 1 && !hasStar {
-		s.PosBits = make([]uint64, len(faces)*s.Words)
-		s.NegBits = make([]uint64, len(faces)*s.Words)
-		for f := 0; f < len(faces); f++ {
-			base := f * s.Words
-			for k := 0; k < dim; k++ {
-				switch s.Rows[f*dim+k] {
-				case 1:
-					s.PosBits[base+k/64] |= 1 << (k % 64)
-				case -1:
-					s.NegBits[base+k/64] |= 1 << (k % 64)
-				}
+	pos := make([]uint64, nf*s.Words)
+	neg := make([]uint64, nf*s.Words)
+	var star uint64
+	for f := 0; f < nf; f++ {
+		row := s.Rows[f*dim : (f+1)*dim]
+		for w := 0; w < s.Words; w++ {
+			// Branch-free on random ternary rows: −1 is the byte 0xFF,
+			// +1 is 0x01, 0 is 0x00, and Star's 0x80 is the one byte
+			// with the top bit set and the low bit clear.
+			var p, n uint64
+			for k, c := range row[w*64 : min(w*64+64, dim)] {
+				u := uint64(uint8(c))
+				p |= ((u & 1) ^ u>>7) << (k & 63)
+				n |= u >> 7 << (k & 63)
+				star |= u >> 7 &^ u
 			}
+			pos[f*s.Words+w] = p
+			neg[f*s.Words+w] = n
 		}
 	}
-	return s
+	if star&1 == 0 {
+		s.PosBits, s.NegBits = pos, neg
+	}
 }
 
 // Signature decodes face f's stored signature into dst (appended) —
@@ -175,4 +186,51 @@ func (s *SigSoA) popcountDiff(qPos, qNeg, qMask []uint64, f int) int {
 		c1 += bits.OnesCount64((qz & (sp | sn)) | ((qp | qn) &^ (sp | sn)))
 	}
 	return 4*c4 + c1
+}
+
+// linkDiffLen returns how many components faces a and b differ in,
+// with Face.NeighborDiffs' float semantics (a Star component differs
+// from everything, itself included, since NaN != NaN). On a bitplane
+// store a component differs exactly when either plane differs, so the
+// count is one popcount per 64 pairs.
+func (s *SigSoA) linkDiffLen(a, b int) int {
+	if s.PosBits != nil {
+		n := 0
+		pa, na := s.FacePlanes(a)
+		pb, nb := s.FacePlanes(b)
+		for w := range pa {
+			n += bits.OnesCount64((pa[w] ^ pb[w]) | (na[w] ^ nb[w]))
+		}
+		return n
+	}
+	n := 0
+	ra, rb := s.FaceRow(a), s.FaceRow(b)
+	for k, c := range ra {
+		if c != rb[k] || c == vector.StarCode {
+			n++
+		}
+	}
+	return n
+}
+
+// appendLinkDiff appends the components faces a and b differ in, in
+// ascending order — the list linkDiffLen counts.
+func (s *SigSoA) appendLinkDiff(dst []int, a, b int) []int {
+	if s.PosBits != nil {
+		pa, na := s.FacePlanes(a)
+		pb, nb := s.FacePlanes(b)
+		for w := range pa {
+			for x := (pa[w] ^ pb[w]) | (na[w] ^ nb[w]); x != 0; x &= x - 1 {
+				dst = append(dst, w*64+bits.TrailingZeros64(x))
+			}
+		}
+		return dst
+	}
+	ra, rb := s.FaceRow(a), s.FaceRow(b)
+	for k, c := range ra {
+		if c != rb[k] || c == vector.StarCode {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }

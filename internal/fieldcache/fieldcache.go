@@ -18,11 +18,15 @@
 //
 // With Config.Dir set, each built division is spilled to
 // <dir>/<key>.div via field.Save (atomic temp-file rename), and a cache
-// miss first tries field.Load on that file — a restarted server
-// warm-starts from disk instead of re-dividing. Spilled files survive
-// in-memory eviction and are validated (field.Load's invariant checks
-// plus field.Spec.Matches) before adoption; a corrupt or mismatched
-// file is discarded and rebuilt, never trusted.
+// miss first tries field.Load on that file — a restarted server, or a
+// peer backend sharing the directory, warm-starts from disk instead of
+// re-dividing. The file is field's CRC-checked binary spill format
+// (DESIGN.md §13), several times cheaper to load than the division is
+// to build. Spilled files survive in-memory eviction and are validated
+// (field.Load's magic, version, CRC and invariant checks plus
+// field.Spec.Matches) before adoption; a corrupt, mismatched or
+// gob-era file counts a disk error and is rebuilt and overwritten,
+// never trusted.
 package fieldcache
 
 import (

@@ -1,6 +1,8 @@
 package fieldcache
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -253,6 +255,97 @@ func TestDiskSpillCorruptFileRebuilds(t *testing.T) {
 		t.Fatalf("overwritten spill unusable: %v", err)
 	} else {
 		rel2()
+	}
+}
+
+// TestDiskSpillGobEraFileRebuilds pins the format migration: a spill
+// file in the old gob encoding, under the unchanged spec key, fails
+// Load's magic check, counts a disk error, and is rebuilt and
+// overwritten with a file the next cache warm-starts from.
+func TestDiskSpillGobEraFileRebuilds(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec(t, 4, 10)
+	div, err := spec.Divide()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The gob-era wire form: the fields of the old divisionSnapshot.
+	type divisionSnapshot struct {
+		Field    [4]float64
+		CellSize float64
+		Cols     int
+		Rows     int
+		Faces    []field.Face
+		CellFace []int
+	}
+	snap := divisionSnapshot{
+		Field:    [4]float64{div.Field.Min.X, div.Field.Min.Y, div.Field.Max.X, div.Field.Max.Y},
+		CellSize: div.CellSize,
+		Cols:     div.Cols,
+		Rows:     div.Rows,
+		Faces:    div.Faces,
+	}
+	for r := 0; r < div.Rows; r++ {
+		for col := 0; col < div.Cols; col++ {
+			snap.CellFace = append(snap.CellFace, div.FaceAt(div.CellCenter(col, r)).ID)
+		}
+	}
+	var gobFile bytes.Buffer
+	if err := gob.NewEncoder(&gobFile).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, spec.Key()+".div")
+	if err := os.WriteFile(path, gobFile.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	c, err := New(Config{Dir: dir, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rel, err := c.Acquire(spec)
+	if err != nil {
+		t.Fatalf("gob-era spill must rebuild, got error: %v", err)
+	}
+	rel()
+	for name, want := range map[string]float64{
+		"fttt_fieldcache_disk_errors_total": 1,
+		"fttt_fieldcache_builds_total":      1,
+		"fttt_fieldcache_disk_loads_total":  0,
+	} {
+		if got := counter(reg, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := field.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("rebuilt spill file does not load: %v", err)
+	}
+	if err := spec.Matches(loaded); err != nil {
+		t.Fatal(err)
+	}
+	reg2 := obs.NewRegistry()
+	c2, err := New(Config{Dir: dir, Obs: reg2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rel2, err := c2.Acquire(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel2()
+	if got := counter(reg2, "fttt_fieldcache_builds_total"); got != 0 {
+		t.Fatalf("warm start after the rewrite built %v times, want 0", got)
+	}
+	if got := counter(reg2, "fttt_fieldcache_disk_loads_total"); got != 1 {
+		t.Fatalf("disk loads = %v, want 1", got)
 	}
 }
 

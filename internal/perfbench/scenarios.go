@@ -137,6 +137,12 @@ func Suite() []Scenario {
 			MapsTo:  "Sec. 4.4 base-station matching of reported groups; DESIGN.md §10 wire decoding",
 			setup:   setupServeIngest,
 		},
+		{
+			Name: "field/load", Kind: KindMicro, Seed: 6,
+			Summary: "field.Load of a saved division: Table-1 field, 20 random nodes, 1 m cells (7015 faces)",
+			MapsTo:  "DESIGN.md §13 disk-spill format (the shared division store's warm start vs field/signature-pass)",
+			setup:   setupFieldLoad,
+		},
 	}
 }
 
@@ -213,6 +219,31 @@ func setupSignaturePass(sc Scenario) (*instance, error) {
 				tb.Fatal(err)
 			}
 			sink = div
+		}
+	}}, nil
+}
+
+// setupFieldLoad prices the disk-spill warm start: the paper config at
+// 1 m cells (7015 faces), divided and saved once, loaded per op.
+func setupFieldLoad(sc Scenario) (*instance, error) {
+	cfg := paperConfig()
+	div, err := field.DivideWorkers(cfg.Field, mustClassifier(cfg), 1, runtime.NumCPU())
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := div.Save(&buf); err != nil {
+		return nil, err
+	}
+	data := buf.Bytes()
+	return &instance{op: func(tb *testing.B) {
+		tb.ReportAllocs()
+		for i := 0; i < tb.N; i++ {
+			d, err := field.Load(bytes.NewReader(data))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			sink = d
 		}
 	}}, nil
 }

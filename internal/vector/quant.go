@@ -3,6 +3,7 @@ package vector
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Int8 quantization codec for signature/sampling values.
@@ -64,24 +65,38 @@ func Dequantize(c int8, denom int) Value {
 // returns the extended slice, or an error naming the first component
 // that does not quantize losslessly.
 func QuantizeVector(dst []int8, v Vector, denom int) ([]int8, error) {
+	return appendCodes(dst, v, denom)
+}
+
+// AppendCodeBytes is QuantizeVector appending each code as its
+// two's-complement byte, the form the division spill file stores.
+func AppendCodeBytes(dst []byte, v Vector, denom int) ([]byte, error) {
+	return appendCodes(dst, v, denom)
+}
+
+func appendCodes[E int8 | uint8](dst []E, v Vector, denom int) ([]E, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(v))[:n+len(v)]
+	out := dst[n:][:len(v)]
 	if denom == 1 {
 		// Ternary fast path: with denom 1 the only representable values
 		// are exactly {-1, 0, +1, Star} (anything else fails Quantize's
-		// round-trip check), so an equality switch replaces the
-		// round-and-verify float work on the divide-time bulk path.
+		// round-trip check). A float's top four bits tell ±0 and ±1
+		// apart, so one table compare validates a component and a second
+		// table gives its code: the bulk paths (divide, spill save) then
+		// run without the value-dependent branches a compare chain
+		// mispredicts on every other random component.
+		star := StarCode
 		for k, x := range v {
-			switch {
-			case x == 0:
-				dst = append(dst, 0)
-			case x == 1:
-				dst = append(dst, 1)
-			case x == -1:
-				dst = append(dst, -1)
-			case x.IsStar():
-				dst = append(dst, StarCode)
-			default:
+			u := math.Float64bits(float64(x))
+			if i := u >> 60; u == ternaryBits[i] {
+				out[k] = E(ternaryCode[i])
+				continue
+			}
+			if !x.IsStar() {
 				return nil, fmt.Errorf("component %d: vector: value %v is not representable with denominator 1", k, float64(x))
 			}
+			out[k] = E(star)
 		}
 		return dst, nil
 	}
@@ -90,10 +105,19 @@ func QuantizeVector(dst []int8, v Vector, denom int) ([]int8, error) {
 		if err != nil {
 			return nil, fmt.Errorf("component %d: %w", k, err)
 		}
-		dst = append(dst, c)
+		out[k] = E(c)
 	}
 	return dst, nil
 }
+
+// ternaryBits[i] is the ternary float whose top four bits are i: +0
+// (0x0), −0 (0x8), +1 (0x3) or −1 (0xB). Every other slot holds +0,
+// which no float with those top bits equals. ternaryCode is the code of
+// each.
+var (
+	ternaryBits = [16]uint64{0x8: 1 << 63, 0x3: 0x3FF0 << 48, 0xB: 0xBFF0 << 48}
+	ternaryCode = [16]int8{0x3: 1, 0xB: -1}
+)
 
 // DequantizeVector appends the decoded values of codes to dst and
 // returns the extended slice.

@@ -118,6 +118,31 @@ func TestQuantizeVectorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuantizeVectorTernaryMatchesQuantize pins the denominator-1 bulk
+// path, which classifies floats by their bit patterns, to the scalar
+// codec on the values whose bits sit next to the ternary ones.
+func TestQuantizeVectorTernaryMatchesQuantize(t *testing.T) {
+	vals := []Value{0, Value(math.Copysign(0, -1)), 1, -1, Star,
+		Value(math.Float64frombits(0x7FF8000000000001)), // another NaN
+		Value(math.Nextafter(1, 2)), Value(math.Nextafter(-1, -2)), Value(math.Nextafter(1, 0)),
+		Value(math.SmallestNonzeroFloat64), 0.5, -0.5, 2, -2,
+		Value(math.Inf(1)), Value(math.Inf(-1)),
+		Value(math.Float64frombits(0x3000000000000000)), Value(math.Float64frombits(0xB000000000000000))}
+	for _, x := range vals {
+		want, werr := Quantize(x, 1)
+		got, gerr := QuantizeVector(nil, Vector{x}, 1)
+		b, berr := AppendCodeBytes(nil, Vector{x}, 1)
+		if (werr == nil) != (gerr == nil) || (werr == nil) != (berr == nil) {
+			t.Errorf("%v (bits %#x): Quantize err %v, QuantizeVector err %v, AppendCodeBytes err %v",
+				float64(x), math.Float64bits(float64(x)), werr, gerr, berr)
+			continue
+		}
+		if werr == nil && (got[0] != want || int8(b[0]) != want) {
+			t.Errorf("%v: Quantize %d, QuantizeVector %d, AppendCodeBytes %d", float64(x), want, got[0], int8(b[0]))
+		}
+	}
+}
+
 // TestCommonDenominator pins the denominator search: ternary resolves
 // to 1, Def. 10 vectors to their k, and unquantizable input to 0.
 func TestCommonDenominator(t *testing.T) {
