@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeReport -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzDecodeLocalize -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz FuzzLoad -fuzztime $(FUZZTIME) ./internal/field/
+	$(GO) test -fuzz FuzzDivide -fuzztime $(FUZZTIME) ./internal/field/
 
 # soak is the long-running serving load test (minutes, race-enabled);
 # not part of check.

@@ -36,6 +36,7 @@ func FuzzByzQuorumVote(f *testing.F) {
 	f.Add([]byte{0, 16, 0, 16, 1, 16}, 1.0, 0.66)
 	f.Add([]byte{1, 32, 1, 32, 0, 63}, 2.0, 0.75)
 	f.Add([]byte{}, 3.0, 0.66)
+	f.Add([]byte("0"), 0.0, 0.66) // zero total weight under a zero quorum
 	f.Fuzz(func(t *testing.T, data []byte, minQuorum, threshold float64) {
 		if math.IsNaN(minQuorum) || minQuorum < 0 || minQuorum > 100 {
 			minQuorum = 1

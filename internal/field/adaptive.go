@@ -1,10 +1,11 @@
 package field
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 
 	"fttt/internal/geom"
-	"fttt/internal/vector"
 )
 
 // AdaptiveDivide is the double-level grid division of the authors'
@@ -26,7 +27,7 @@ func AdaptiveDivide(fieldRect geom.Rect, classifier PairClassifier, coarse, fine
 	}
 	ratio := coarse / fine
 	iratio := int(ratio + 0.5)
-	if iratio < 1 || absf(ratio-float64(iratio)) > 1e-9 {
+	if iratio < 1 || math.Abs(ratio-float64(iratio)) > 1e-9 {
 		return nil, fmt.Errorf("field: coarse %v must be an integer multiple of fine %v", coarse, fine)
 	}
 	// Same ceiling grid semantics as Divide, so the bit-compatibility
@@ -35,37 +36,15 @@ func AdaptiveDivide(fieldRect geom.Rect, classifier PairClassifier, coarse, fine
 	if err != nil {
 		return nil, err
 	}
+	d := &Division{Field: fieldRect, CellSize: fine, Cols: cols, Rows: rows, cellFace: make([]int, cols*rows)}
 
-	d := &Division{
-		Field:    fieldRect,
-		CellSize: fine,
-		Cols:     cols,
-		Rows:     rows,
-		cellFace: make([]int, cols*rows),
-		bySig:    make(map[string]int),
-	}
-
-	var accums []*faceAccum
-	intern := func(sig vector.Vector) int {
-		key := sig.Key()
-		id, ok := d.bySig[key]
-		if !ok {
-			id = len(accums)
-			d.bySig[key] = id
-			accums = append(accums, &faceAccum{sig: sig})
-		}
-		return id
-	}
-	put := func(c, r, id int) {
-		accums[id].add(d.CellCenter(c, r))
-		d.cellFace[r*cols+c] = id
-	}
-
-	// Walk coarse blocks.
+	// Walk coarse blocks; face IDs follow first appearance in the walk.
+	cc := newCellCoder(classifier)
+	first := make([]byte, len(cc.row))
 	for br := 0; br < rows; br += iratio {
 		for bc := 0; bc < cols; bc += iratio {
-			rEnd := minInt(br+iratio, rows)
-			cEnd := minInt(bc+iratio, cols)
+			rEnd := min(br+iratio, rows)
+			cEnd := min(bc+iratio, cols)
 			// Probe 9 points of the block's bounding box.
 			x0 := fieldRect.Min.X + float64(bc)*fine
 			y0 := fieldRect.Min.Y + float64(br)*fine
@@ -77,47 +56,29 @@ func AdaptiveDivide(fieldRect geom.Rect, classifier PairClassifier, coarse, fine
 				{X: x0, Y: ym}, {X: xm, Y: ym}, {X: x1, Y: ym},
 				{X: x0, Y: y1}, {X: xm, Y: y1}, {X: x1, Y: y1},
 			}
-			first := Signature(classifier, probes[0])
+			copy(first, cc.classify(probes[0]))
 			uniform := true
 			for _, p := range probes[1:] {
-				if !vector.Equal(first, Signature(classifier, p)) {
+				if !bytes.Equal(first, cc.classify(p)) {
 					uniform = false
 					break
 				}
 			}
+			id := -1
 			if uniform {
-				id := intern(first)
-				for r := br; r < rEnd; r++ {
-					for c := bc; c < cEnd; c++ {
-						put(c, r, id)
-					}
-				}
-				continue
+				id = cc.intern(first)
 			}
-			// Refine: per-fine-cell signatures inside the block.
 			for r := br; r < rEnd; r++ {
 				for c := bc; c < cEnd; c++ {
-					id := intern(Signature(classifier, d.CellCenter(c, r)))
-					put(c, r, id)
+					if !uniform { // refine: per-fine-cell signatures
+						id = cc.intern(cc.classify(d.CellCenter(c, r)))
+					}
+					d.cellFace[r*cols+c] = id
 				}
 			}
 		}
 	}
-
-	d.finalizeFaces(accums)
-	return d, nil
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	// Centroids sum in the same block walk, so the float order is the
+	// walk's.
+	return d.finish(cc, iratio)
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"fttt/internal/geom"
@@ -52,41 +51,13 @@ func NewRatioClassifier(nodes []geom.Point, c float64) (*RatioClassifier, error)
 	return &RatioClassifier{Nodes: nodes, C: c}, nil
 }
 
-// DistanceClassifier is an optional PairClassifier extension for
-// classifiers whose pair decision depends only on the point's distances
-// to the two nodes. Divide uses it to precompute each cell's n node
-// distances once and classify all C(n,2) pairs from the cache — n
-// distance evaluations per cell instead of the 2·C(n,2) a naive
-// pair-by-pair classification performs.
-type DistanceClassifier interface {
-	PairClassifier
-	// AppendDistances appends the distance from p to every node, in node
-	// order, and returns the extended slice.
-	AppendDistances(dst []float64, p geom.Point) []float64
-	// ClassifyDistances classifies a pair (i, j), i < j, from the
-	// precomputed distances di and dj to the two nodes. It must agree
-	// exactly with Classify.
-	ClassifyDistances(di, dj float64) vector.Value
-}
-
 // NumNodes implements PairClassifier.
 func (rc *RatioClassifier) NumNodes() int { return len(rc.Nodes) }
 
-// Classify implements PairClassifier.
+// Classify implements PairClassifier. Divide runs the same test inlined
+// over a whole cell (codeRow).
 func (rc *RatioClassifier) Classify(p geom.Point, i, j int) vector.Value {
-	return rc.ClassifyDistances(p.Dist(rc.Nodes[i]), p.Dist(rc.Nodes[j]))
-}
-
-// AppendDistances implements DistanceClassifier.
-func (rc *RatioClassifier) AppendDistances(dst []float64, p geom.Point) []float64 {
-	for _, node := range rc.Nodes {
-		dst = append(dst, p.Dist(node))
-	}
-	return dst
-}
-
-// ClassifyDistances implements DistanceClassifier.
-func (rc *RatioClassifier) ClassifyDistances(di, dj float64) vector.Value {
+	di, dj := p.Dist(rc.Nodes[i]), p.Dist(rc.Nodes[j])
 	switch {
 	case di*rc.C <= dj:
 		return vector.Nearer
@@ -99,37 +70,15 @@ func (rc *RatioClassifier) ClassifyDistances(di, dj float64) vector.Value {
 
 // Signature returns the full signature vector of point p (Def. 6).
 func Signature(c PairClassifier, p geom.Point) vector.Vector {
-	v := vector.New(c.NumNodes())
-	signatureInto(c, p, v, nil)
-	return v
-}
-
-// signatureInto fills v (dimension C(n,2)) with the signature of p. When
-// the classifier supports the distance fast path the n node distances are
-// computed once into distBuf; the possibly-grown buffer is returned for
-// reuse by the next cell.
-func signatureInto(c PairClassifier, p geom.Point, v vector.Vector, distBuf []float64) []float64 {
-	n := c.NumNodes()
-	if dc, ok := c.(DistanceClassifier); ok {
-		distBuf = dc.AppendDistances(distBuf[:0], p)
-		k := 0
-		for i := 0; i < n; i++ {
-			di := distBuf[i]
-			for j := i + 1; j < n; j++ {
-				v[k] = dc.ClassifyDistances(di, distBuf[j])
-				k++
-			}
-		}
-		return distBuf
-	}
-	k := 0
+	n, k := c.NumNodes(), 0
+	v := vector.New(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			v[k] = c.Classify(p, i, j)
 			k++
 		}
 	}
-	return distBuf
+	return v
 }
 
 // Face is one equivalence class of grid cells sharing a signature vector.
@@ -219,211 +168,55 @@ func Divide(fieldRect geom.Rect, classifier PairClassifier, cellSize float64) (*
 // shard order, and a shard's local first appearances are already in
 // row-major order, so the concatenation reproduces the global scan order
 // exactly — and centroids are accumulated in a separate serial row-major
-// pass so float summation order never depends on the sharding. The
-// classifier must be safe for concurrent reads (RatioClassifier is).
+// pass so float summation order never depends on the sharding. Only a
+// RatioClassifier is sharded; any other classifier runs as one shard,
+// since its values share one code alphabet.
 func DivideWorkers(fieldRect geom.Rect, classifier PairClassifier, cellSize float64, workers int) (*Division, error) {
 	cols, rows, err := gridDims(fieldRect, cellSize)
 	if err != nil {
 		return nil, err
 	}
+	d := &Division{Field: fieldRect, CellSize: cellSize, Cols: cols, Rows: rows, cellFace: make([]int, cols*rows)}
 
-	d := &Division{
-		Field:    fieldRect,
-		CellSize: cellSize,
-		Cols:     cols,
-		Rows:     rows,
-		cellFace: make([]int, cols*rows),
-		bySig:    make(map[string]int),
-	}
-
-	// Pass 1: signature per cell; group into faces.
-	var accums []*faceAccum
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		accums = d.signaturePassSerial(classifier)
-	} else {
-		accums = d.signaturePassParallel(classifier, workers)
-	}
-
-	// Pass 2: centroid accumulation, always serial and row-major so the
-	// floating-point summation order is independent of the worker count.
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			accums[d.cellFace[r*cols+c]].add(d.CellCenter(c, r))
+	coders := []*cellCoder{newCellCoder(classifier)}
+	if coders[0].rc != nil {
+		for len(coders) < min(workers, rows) {
+			coders = append(coders, newCellCoder(classifier))
 		}
 	}
-	d.finalizeFaces(accums)
-	return d, nil
-}
-
-// signaturePassSerial fills cellFace and bySig in one row-major scan,
-// reusing a scratch vector and distance buffer across cells (a signature
-// is only cloned when it starts a new face).
-func (d *Division) signaturePassSerial(classifier PairClassifier) []*faceAccum {
-	var accums []*faceAccum
-	scratch := vector.New(classifier.NumNodes())
-	var dists []float64
-	for r := 0; r < d.Rows; r++ {
-		for c := 0; c < d.Cols; c++ {
-			dists = signatureInto(classifier, d.CellCenter(c, r), scratch, dists)
-			key := scratch.Key()
-			id, ok := d.bySig[key]
-			if !ok {
-				id = len(accums)
-				d.bySig[key] = id
-				accums = append(accums, &faceAccum{sig: scratch.Clone()})
-			}
-			d.cellFace[r*d.Cols+c] = id
-		}
-	}
-	return accums
-}
-
-// divideShard is one worker's slice of the signature pass: a contiguous
-// band of rows plus the shard-local face table in first-appearance order.
-type divideShard struct {
-	startRow, endRow int
-	sigs             []vector.Vector
-	keys             []string
-}
-
-// signaturePassParallel shards the rows across workers. Each worker
-// classifies its band into shard-local face IDs (written into the
-// worker's disjoint region of cellFace); the shards are then merged in
-// order, assigning global IDs by first appearance and remapping the
-// raster.
-func (d *Division) signaturePassParallel(classifier PairClassifier, workers int) []*faceAccum {
-	shards := make([]divideShard, workers)
-	base, extra := d.Rows/workers, d.Rows%workers
-	row := 0
-	for s := range shards {
-		h := base
-		if s < extra {
-			h++
-		}
-		shards[s].startRow, shards[s].endRow = row, row+h
-		row += h
-	}
-
 	var wg sync.WaitGroup
-	for s := range shards {
+	for s, cc := range coders {
+		cc.startRow, cc.endRow = s*rows/len(coders), (s+1)*rows/len(coders)
 		wg.Add(1)
-		go func(sh *divideShard) {
+		go func() {
 			defer wg.Done()
-			local := make(map[string]int)
-			scratch := vector.New(classifier.NumNodes())
-			var dists []float64
-			for r := sh.startRow; r < sh.endRow; r++ {
-				for c := 0; c < d.Cols; c++ {
-					dists = signatureInto(classifier, d.CellCenter(c, r), scratch, dists)
-					key := scratch.Key()
-					id, ok := local[key]
-					if !ok {
-						id = len(sh.sigs)
-						local[key] = id
-						sh.sigs = append(sh.sigs, scratch.Clone())
-						sh.keys = append(sh.keys, key)
-					}
-					d.cellFace[r*d.Cols+c] = id // shard-local; remapped below
+			for r := cc.startRow; r < cc.endRow; r++ {
+				for c := 0; c < cols; c++ {
+					d.cellFace[r*cols+c] = cc.intern(cc.classify(d.CellCenter(c, r)))
 				}
 			}
-		}(&shards[s])
+		}()
 	}
 	wg.Wait()
 
-	var accums []*faceAccum
-	for s := range shards {
-		sh := &shards[s]
-		remap := make([]int, len(sh.sigs))
-		for li, key := range sh.keys {
-			gid, ok := d.bySig[key]
+	// Merge into shard 0's table in shard order, renumbering each later
+	// shard's band of the raster from local to global face IDs.
+	global, dim := coders[0], len(coders[0].row)
+	for _, cc := range coders[1:] {
+		remap := make([]int, len(cc.keys))
+		for li, key := range cc.keys {
+			id, ok := global.index[key]
 			if !ok {
-				gid = len(accums)
-				d.bySig[key] = gid
-				accums = append(accums, &faceAccum{sig: sh.sigs[li]})
+				id = global.add(key)
+				global.rows = append(global.rows, cc.rows[li*dim:(li+1)*dim]...)
 			}
-			remap[li] = gid
+			remap[li] = id
 		}
-		for ci := sh.startRow * d.Cols; ci < sh.endRow*d.Cols; ci++ {
-			d.cellFace[ci] = remap[d.cellFace[ci]]
-		}
-	}
-	return accums
-}
-
-// faceAccum accumulates one face's cells during division.
-type faceAccum struct {
-	sig   vector.Vector
-	sumX  float64
-	sumY  float64
-	cells int
-}
-
-func (a *faceAccum) add(center geom.Point) {
-	a.sumX += center.X
-	a.sumY += center.Y
-	a.cells++
-}
-
-// finalizeFaces builds the Face records from the accumulated cells and
-// the filled cellFace raster: neighbor links from 4-connected adjacency,
-// per-link signature diffs (Theorem 1 machinery), and centroids (eq. 5).
-func (d *Division) finalizeFaces(accums []*faceAccum) {
-	neighborSet := make([]map[int]struct{}, len(accums))
-	for i := range neighborSet {
-		neighborSet[i] = make(map[int]struct{})
-	}
-	link := func(a, b int) {
-		if a != b {
-			neighborSet[a][b] = struct{}{}
-			neighborSet[b][a] = struct{}{}
+		for i := cc.startRow * cols; i < cc.endRow*cols; i++ {
+			d.cellFace[i] = remap[d.cellFace[i]]
 		}
 	}
-	for r := 0; r < d.Rows; r++ {
-		for c := 0; c < d.Cols; c++ {
-			id := d.cellFace[r*d.Cols+c]
-			if c+1 < d.Cols {
-				link(id, d.cellFace[r*d.Cols+c+1])
-			}
-			if r+1 < d.Rows {
-				link(id, d.cellFace[(r+1)*d.Cols+c])
-			}
-		}
-	}
-	d.Faces = make([]Face, len(accums))
-	for id, a := range accums {
-		nbrs := make([]int, 0, len(neighborSet[id]))
-		for nb := range neighborSet[id] {
-			nbrs = append(nbrs, nb)
-		}
-		sort.Ints(nbrs)
-		diffs := make([][]int, len(nbrs))
-		for ni, nb := range nbrs {
-			diffs[ni] = signatureDiff(a.sig, accums[nb].sig)
-		}
-		d.Faces[id] = Face{
-			ID:            id,
-			Signature:     a.sig,
-			Centroid:      geom.Pt(a.sumX/float64(a.cells), a.sumY/float64(a.cells)),
-			Cells:         a.cells,
-			Neighbors:     nbrs,
-			NeighborDiffs: diffs,
-		}
-	}
-	d.soa = buildSigSoA(d.Faces)
-}
-
-// signatureDiff returns the component indices where a and b differ.
-func signatureDiff(a, b vector.Vector) []int {
-	var out []int
-	for k := range a {
-		if a[k] != b[k] {
-			out = append(out, k)
-		}
-	}
-	return out
+	return d.finish(global, 1)
 }
 
 // CellCenter returns the centre of the cell at column c, row r.
@@ -438,19 +231,7 @@ func (d *Division) CellCenter(c, r int) geom.Point {
 func (d *Division) CellOf(p geom.Point) (c, r int) {
 	c = int((p.X - d.Field.Min.X) / d.CellSize)
 	r = int((p.Y - d.Field.Min.Y) / d.CellSize)
-	if c < 0 {
-		c = 0
-	}
-	if c >= d.Cols {
-		c = d.Cols - 1
-	}
-	if r < 0 {
-		r = 0
-	}
-	if r >= d.Rows {
-		r = d.Rows - 1
-	}
-	return c, r
+	return min(max(c, 0), d.Cols-1), min(max(r, 0), d.Rows-1)
 }
 
 // FaceAt returns the face containing the point p (by its grid cell).

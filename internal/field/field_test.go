@@ -483,21 +483,29 @@ func TestDivideCeilingGridForNonDividingCellSize(t *testing.T) {
 }
 
 func TestSignatureDistanceFastPathMatchesClassify(t *testing.T) {
-	// RatioClassifier implements the DistanceClassifier fast path; the
-	// signature it yields must agree with pair-by-pair Classify exactly.
-	rc := gridClassifier(t, 9, defaultC())
-	n := rc.NumNodes()
-	rng := randx.New(8)
-	for trial := 0; trial < 200; trial++ {
-		p := geom.Pt(rng.Uniform(-10, 110), rng.Uniform(-10, 110))
-		fast := Signature(rc, p)
-		k := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if want := rc.Classify(p, i, j); fast[k] != want {
-					t.Fatalf("pair (%d,%d) at %v: fast %v vs classify %v", i, j, p, fast[k], want)
+	// Divide classifies a RatioClassifier's cells through codeRow, the
+	// ratio test inlined over per-cell distances; its codes must agree
+	// with pair-by-pair Classify exactly, C = 1 ties included.
+	for _, c := range []float64{defaultC(), 1} {
+		rc := gridClassifier(t, 9, c)
+		n := rc.NumNodes()
+		row, dist := make([]byte, vector.NumPairs(n)), make([]float64, 2*n)
+		rng := randx.New(8)
+		for trial := 0; trial < 200; trial++ {
+			p := geom.Pt(rng.Uniform(-10, 110), rng.Uniform(-10, 110))
+			if trial == 0 {
+				p = geom.Pt(50, 50) // equidistant from grid-symmetric node pairs
+			}
+			rc.codeRow(row, p, dist)
+			k := 0
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					want, _ := vector.Quantize(rc.Classify(p, i, j), 1)
+					if int8(row[k]) != want {
+						t.Fatalf("C=%v pair (%d,%d) at %v: code %d vs classify %d", c, i, j, p, int8(row[k]), want)
+					}
+					k++
 				}
-				k++
 			}
 		}
 	}

@@ -320,11 +320,9 @@ func decodeSpill(b []byte) (*Division, error) {
 		faces[f] = Face{ID: f, Centroid: geom.Pt(x, y), Cells: int(cells)}
 		ends[f] = len(nbrs)
 	}
-	diffs := make([][]int, len(nbrs))
 	start := 0
 	for f, end := range ends {
 		faces[f].Neighbors = nbrs[start:end:end]
-		faces[f].NeighborDiffs = diffs[start:end:end]
 		start = end
 	}
 
@@ -364,29 +362,14 @@ func decodeSpill(b []byte) (*Division, error) {
 		}
 	}
 
-	d := &Division{
-		Field:    rect,
-		CellSize: cell,
-		Cols:     cols,
-		Rows:     rows,
-		Faces:    faces,
-		soa: &SigSoA{
-			NumFaces: nf,
-			Dim:      dim,
-			Denom:    denom,
-			Rows:     codes,
-			Words:    (dim + 63) / 64,
-		},
-	}
-	d.soa.deriveViews()
-	d.deriveSignatures()
-	if err := d.indexSignatures(); err != nil {
+	d := &Division{Field: rect, CellSize: cell, Cols: cols, Rows: rows, Faces: faces}
+	s := &SigSoA{NumFaces: nf, Dim: dim, Denom: denom, Rows: codes, Words: (dim + 63) / 64}
+	// The assembly's signature index is the last check; the diffs and the
+	// raster, the sizes the bytes do not bound, are allocated after it.
+	if err := d.assemble(s, nil); err != nil {
 		return nil, err
 	}
-	// Every check has passed: only now allocate the raster and the
-	// neighbour diffs, the two sizes the file's bytes do not bound. The
-	// runs were parsed in pass 1, so their varint errors are dropped.
-	rd.off = rasterAt
+	rd.off = rasterAt // pass 1 parsed these runs: their errors are dropped
 	d.cellFace = make([]int, total)
 	for n := 0; n < total; {
 		id, _ := rd.uvarint("raster")
@@ -395,7 +378,6 @@ func decodeSpill(b []byte) (*Division, error) {
 			d.cellFace[n] = int(id)
 		}
 	}
-	d.deriveNeighborDiffs()
 	return d, nil
 }
 
@@ -442,106 +424,6 @@ func finite(vs ...float64) bool {
 		}
 	}
 	return true
-}
-
-// deriveSignatures decodes every face's float signature from the SoA
-// rows into one slab.
-func (d *Division) deriveSignatures() {
-	s := d.soa
-	var val [256]vector.Value
-	for i := range val {
-		val[i] = vector.Dequantize(int8(i), s.Denom)
-	}
-	slab := make(vector.Vector, len(s.Rows))
-	for i, c := range s.Rows {
-		slab[i] = val[uint8(c)]
-	}
-	for f := range d.Faces {
-		d.Faces[f].Signature = slab[f*s.Dim : (f+1)*s.Dim : (f+1)*s.Dim]
-	}
-}
-
-// indexSignatures builds bySig from the SoA rows. The keys are the
-// strings Vector.Key gives the float signatures, assembled from a
-// per-code table into one backing string.
-func (d *Division) indexSignatures() error {
-	s := d.soa
-	var frag [256]string
-	for c := -s.Denom; c <= s.Denom; c++ {
-		frag[uint8(int8(c))] = vector.Vector{vector.Dequantize(int8(c), s.Denom)}.Key()
-	}
-	star := vector.StarCode
-	frag[uint8(star)] = vector.Vector{vector.Star}.Key()
-	var sb strings.Builder
-	ends := make([]int, len(d.Faces))
-	if s.Denom == 1 { // every fragment is one byte: map a row at a time
-		sb.Grow(len(s.Rows))
-		var tbl [256]byte
-		for i, f := range frag {
-			if f != "" {
-				tbl[i] = f[0]
-			}
-		}
-		row := make([]byte, s.Dim)
-		for f := range ends {
-			for k, c := range s.FaceRow(f) {
-				row[k] = tbl[uint8(c)]
-			}
-			sb.Write(row)
-			ends[f] = sb.Len()
-		}
-	} else {
-		keyLen := 0
-		for _, c := range s.Rows {
-			keyLen += len(frag[uint8(c)])
-		}
-		sb.Grow(keyLen)
-		for f := range ends {
-			for _, c := range s.FaceRow(f) {
-				sb.WriteString(frag[uint8(c)])
-			}
-			ends[f] = sb.Len()
-		}
-	}
-	keys := sb.String()
-	d.bySig = make(map[string]int, len(d.Faces))
-	start := 0
-	for f, end := range ends {
-		key := keys[start:end]
-		if prev, dup := d.bySig[key]; dup {
-			// Lemma 1: signatures are unique per face. A duplicate means
-			// the file is corrupt (or hand-edited); silently letting the
-			// later face win would collapse two faces into one and skew
-			// every signature lookup, so reject instead.
-			return fmt.Errorf("faces %d and %d share a signature (corrupt division)", prev, f)
-		}
-		d.bySig[key] = f
-		start = end
-	}
-	return nil
-}
-
-// deriveNeighborDiffs fills every face's NeighborDiffs from the SoA
-// store into one slab of exactly the counted size.
-func (d *Division) deriveNeighborDiffs() {
-	s := d.soa
-	total := 0
-	for a := range d.Faces {
-		for _, b := range d.Faces[a].Neighbors {
-			total += s.linkDiffLen(a, b)
-		}
-	}
-	slab := make([]int, 0, total)
-	for a := range d.Faces {
-		f := &d.Faces[a]
-		for i, b := range f.Neighbors {
-			start := len(slab)
-			slab = s.appendLinkDiff(slab, a, b)
-			if len(slab) > start { // signatureDiff leaves an empty diff nil
-				f.NeighborDiffs[i] = slab[start:len(slab):len(slab)]
-			}
-		}
-	}
 }
 
 // spillReader walks a spill file body.

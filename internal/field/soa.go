@@ -50,65 +50,35 @@ type SigSoA struct {
 	NegBits []uint64
 }
 
-// buildSigSoA quantizes the face signatures into a fresh SigSoA. It
-// returns nil when the signatures do not quantize losslessly into int8
-// (possible only with a custom PairClassifier emitting exotic values) —
-// callers fall back to the AoS Face.Signature path then.
-func buildSigSoA(faces []Face) *SigSoA {
-	if len(faces) == 0 {
-		return nil
-	}
-	dim := faces[0].Signature.Dim()
-	sigs := make([]vector.Vector, len(faces))
-	for i := range faces {
-		if faces[i].Signature.Dim() != dim {
-			return nil
-		}
-		sigs[i] = faces[i].Signature
-	}
-	denom := vector.CommonDenominator(sigs...)
-	if denom == 0 {
-		return nil
-	}
-	s := &SigSoA{
-		NumFaces: len(faces),
-		Dim:      dim,
-		Denom:    denom,
-		Rows:     make([]int8, len(faces)*dim),
-		Words:    (dim + 63) / 64,
-	}
-	for f, sig := range sigs {
-		// Append into the row's exact sub-slice: capacity dim means the
-		// appends land in place in Rows without reallocating.
-		if _, err := vector.QuantizeVector(s.Rows[f*dim:f*dim:(f+1)*dim], sig, denom); err != nil {
-			return nil // CommonDenominator vouched for every value; defensive
-		}
-	}
-	s.deriveViews()
-	return s
-}
-
 // deriveViews fills the views derived from Rows: the Cols transpose and,
-// for pure ternary stores, the bitplanes. Divide and Load both end here,
-// so a loaded store is built by the same code as a divided one.
+// for pure ternary stores, the bitplanes, eight codes to a uint64.
 func (s *SigSoA) deriveViews() {
 	nf, dim := s.NumFaces, s.Dim
 	s.Cols = make([]int8, dim*nf)
-	// Tiled transpose Rows → Cols: a naive double loop strides one of
-	// the two slabs by thousands of bytes per write, missing cache on
-	// every element. Square tiles keep both the 64-byte column runs and
-	// the tile's rows resident while they are traded.
-	const tile = 64
-	for k0 := 0; k0 < dim; k0 += tile {
-		k1 := min(k0+tile, dim)
-		for f0 := 0; f0 < nf; f0 += tile {
-			f1 := min(f0+tile, nf)
-			for k := k0; k < k1; k++ {
-				col := s.Cols[k*nf : (k+1)*nf]
-				for f := f0; f < f1; f++ {
-					col[f] = s.Rows[f*dim+k]
-				}
+	// Transpose Rows → Cols in 8×8 blocks: eight 8-byte row loads, a
+	// word-level byte transpose, eight 8-byte column stores. Walking the
+	// faces eight at a time keeps every column's current cache line
+	// resident (one line per pair); the ragged edges go byte by byte.
+	f8, k8 := nf&^7, dim&^7
+	var blk [8]uint64
+	for f := 0; f < f8; f += 8 {
+		for k := 0; k < k8; k += 8 {
+			for i := range blk {
+				blk[i] = load8(s.Rows[(f+i)*dim+k:])
 			}
+			transpose8(&blk)
+			for i, w := range blk {
+				store8(s.Cols[(k+i)*nf+f:], w)
+			}
+		}
+	}
+	for f := 0; f < nf; f++ {
+		k := k8
+		if f >= f8 {
+			k = 0
+		}
+		for ; k < dim; k++ {
+			s.Cols[k*nf+f] = s.Rows[f*dim+k]
 		}
 	}
 	// Bitplanes require pure ternary content: a Star component (legal in
@@ -118,29 +88,83 @@ func (s *SigSoA) deriveViews() {
 	if s.Denom != 1 {
 		return
 	}
+	// −1 is the byte 0xFF, +1 is 0x01, 0 is 0x00, and Star's 0x80 is the
+	// one byte with the top bit set and the low bit clear. Masking eight
+	// codes' low and top bits and multiplying by gather moves the eight
+	// per-byte flags into the top byte, in component order.
+	const (
+		lsb    = 0x0101010101010101
+		gather = 0x0102040810204080
+	)
 	pos := make([]uint64, nf*s.Words)
 	neg := make([]uint64, nf*s.Words)
 	var star uint64
 	for f := 0; f < nf; f++ {
 		row := s.Rows[f*dim : (f+1)*dim]
 		for w := 0; w < s.Words; w++ {
-			// Branch-free on random ternary rows: −1 is the byte 0xFF,
-			// +1 is 0x01, 0 is 0x00, and Star's 0x80 is the one byte
-			// with the top bit set and the low bit clear.
+			chunk := row[w*64 : min(w*64+64, dim)]
 			var p, n uint64
-			for k, c := range row[w*64 : min(w*64+64, dim)] {
-				u := uint64(uint8(c))
-				p |= ((u & 1) ^ u>>7) << (k & 63)
-				n |= u >> 7 << (k & 63)
-				star |= u >> 7 &^ u
+			for g := 0; g < len(chunk); g += 8 {
+				var x uint64 // a short last group reads as zero codes
+				if g+8 <= len(chunk) {
+					x = load8(chunk[g:])
+				} else {
+					for i, c := range chunk[g:] {
+						x |= uint64(uint8(c)) << (8 * i)
+					}
+				}
+				lo, hi := x&lsb, x>>7&lsb
+				p |= (lo &^ hi) * gather >> 56 << g
+				n |= (lo & hi) * gather >> 56 << g
+				star |= hi &^ lo
 			}
 			pos[f*s.Words+w] = p
 			neg[f*s.Words+w] = n
 		}
 	}
-	if star&1 == 0 {
+	if star == 0 {
 		s.PosBits, s.NegBits = pos, neg
 	}
+}
+
+// load8 reads b[0:8] as a little-endian word (one 8-byte load).
+func load8(b []int8) uint64 {
+	_ = b[7]
+	return uint64(uint8(b[0])) | uint64(uint8(b[1]))<<8 | uint64(uint8(b[2]))<<16 | uint64(uint8(b[3]))<<24 |
+		uint64(uint8(b[4]))<<32 | uint64(uint8(b[5]))<<40 | uint64(uint8(b[6]))<<48 | uint64(uint8(b[7]))<<56
+}
+
+// store8 writes x to b[0:8] little-endian (one 8-byte store).
+func store8(b []int8, x uint64) {
+	_ = b[7]
+	b[0], b[1], b[2], b[3] = int8(x), int8(x>>8), int8(x>>16), int8(x>>24)
+	b[4], b[5], b[6], b[7] = int8(x>>32), int8(x>>40), int8(x>>48), int8(x>>56)
+}
+
+// transpose8 transposes the 8×8 byte matrix whose row i is m[i] (byte j
+// at bits 8j): it swaps the off-diagonal halves of 2×2 blocks of bytes,
+// then of 16-bit pairs, then of 32-bit quads.
+func transpose8(m *[8]uint64) {
+	const b1, b2, b4 = 0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF
+	m[0], m[1] = swapBlocks(m[0], m[1], 8, b1)
+	m[2], m[3] = swapBlocks(m[2], m[3], 8, b1)
+	m[4], m[5] = swapBlocks(m[4], m[5], 8, b1)
+	m[6], m[7] = swapBlocks(m[6], m[7], 8, b1)
+	m[0], m[2] = swapBlocks(m[0], m[2], 16, b2)
+	m[1], m[3] = swapBlocks(m[1], m[3], 16, b2)
+	m[4], m[6] = swapBlocks(m[4], m[6], 16, b2)
+	m[5], m[7] = swapBlocks(m[5], m[7], 16, b2)
+	m[0], m[4] = swapBlocks(m[0], m[4], 32, b4)
+	m[1], m[5] = swapBlocks(m[1], m[5], 32, b4)
+	m[2], m[6] = swapBlocks(m[2], m[6], 32, b4)
+	m[3], m[7] = swapBlocks(m[3], m[7], 32, b4)
+}
+
+// swapBlocks trades a's upper and b's lower shift-bit block within each
+// 2·shift-bit lane (mask selects the lower blocks).
+func swapBlocks(a, b uint64, shift uint, mask uint64) (uint64, uint64) {
+	t := (a>>shift ^ b) & mask
+	return a ^ t<<shift, b ^ t
 }
 
 // Signature decodes face f's stored signature into dst (appended) —
@@ -172,49 +196,11 @@ func (s *SigSoA) ApproxBytes() int64 {
 		8*(int64(len(s.PosBits))+int64(len(s.NegBits)))
 }
 
-// popcountDiff is a self-check helper used by tests: the bitplane
-// squared distance of a ternary query against face f, computed the
-// popcount way (4·|sign flips| + 1·|one-sided zeros|).
-func (s *SigSoA) popcountDiff(qPos, qNeg, qMask []uint64, f int) int {
-	base := f * s.Words
-	c4, c1 := 0, 0
-	for w := 0; w < s.Words; w++ {
-		sp, sn := s.PosBits[base+w], s.NegBits[base+w]
-		qp, qn, qm := qPos[w], qNeg[w], qMask[w]
-		c4 += bits.OnesCount64((qp & sn) | (qn & sp))
-		qz := qm &^ (qp | qn)
-		c1 += bits.OnesCount64((qz & (sp | sn)) | ((qp | qn) &^ (sp | sn)))
-	}
-	return 4*c4 + c1
-}
-
-// linkDiffLen returns how many components faces a and b differ in,
-// with Face.NeighborDiffs' float semantics (a Star component differs
-// from everything, itself included, since NaN != NaN). On a bitplane
-// store a component differs exactly when either plane differs, so the
-// count is one popcount per 64 pairs.
-func (s *SigSoA) linkDiffLen(a, b int) int {
-	if s.PosBits != nil {
-		n := 0
-		pa, na := s.FacePlanes(a)
-		pb, nb := s.FacePlanes(b)
-		for w := range pa {
-			n += bits.OnesCount64((pa[w] ^ pb[w]) | (na[w] ^ nb[w]))
-		}
-		return n
-	}
-	n := 0
-	ra, rb := s.FaceRow(a), s.FaceRow(b)
-	for k, c := range ra {
-		if c != rb[k] || c == vector.StarCode {
-			n++
-		}
-	}
-	return n
-}
-
 // appendLinkDiff appends the components faces a and b differ in, in
-// ascending order — the list linkDiffLen counts.
+// ascending order, with Face.NeighborDiffs' float semantics (a Star
+// component differs from everything, itself included, since NaN !=
+// NaN). On a bitplane store a component differs exactly when either
+// plane differs, so each 64 pairs cost one XOR and a bit walk.
 func (s *SigSoA) appendLinkDiff(dst []int, a, b int) []int {
 	if s.PosBits != nil {
 		pa, na := s.FacePlanes(a)

@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"fttt/internal/geom"
@@ -235,7 +236,7 @@ func (starClassifier) Classify(p geom.Point, i, j int) vector.Value {
 }
 
 // TestSoAAdaptiveDivide pins that the double-level AdaptiveDivide path
-// (which builds its faces through the same finalizeFaces) also carries
+// (which ends in the same assembly as Divide and Load) also carries
 // a store, and that every stored row decodes to its face's AoS
 // signature — face ordering may differ from Divide's, the per-face
 // content may not.
@@ -256,4 +257,20 @@ func TestSoAAdaptiveDivide(t *testing.T) {
 			t.Fatalf("face %d: SoA row decodes to %v, AoS %v", f, scratch, adaptive.Faces[f].Signature)
 		}
 	}
+}
+
+// popcountDiff is the tests' reference popcount kernel: the bitplane
+// squared distance of a ternary query against face f, computed the
+// popcount way (4·|sign flips| + 1·|one-sided zeros|).
+func (s *SigSoA) popcountDiff(qPos, qNeg, qMask []uint64, f int) int {
+	base := f * s.Words
+	c4, c1 := 0, 0
+	for w := 0; w < s.Words; w++ {
+		sp, sn := s.PosBits[base+w], s.NegBits[base+w]
+		qp, qn, qm := qPos[w], qNeg[w], qMask[w]
+		c4 += bits.OnesCount64((qp & sn) | (qn & sp))
+		qz := qm &^ (qp | qn)
+		c1 += bits.OnesCount64((qz & (sp | sn)) | ((qp | qn) &^ (sp | sn)))
+	}
+	return 4*c4 + c1
 }

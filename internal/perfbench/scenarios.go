@@ -143,6 +143,12 @@ func Suite() []Scenario {
 			MapsTo:  "DESIGN.md §13 disk-spill format (the shared division store's warm start vs field/signature-pass)",
 			setup:   setupFieldLoad,
 		},
+		{
+			Name: "field/divide", Kind: KindMicro, Seed: 6,
+			Summary: "field.DivideWorkers with CPU workers on the field/load fixture: Table-1 field, 20 random nodes, 1 m cells",
+			MapsTo:  "Sec. 4.3 approximate grid division; DESIGN.md §13 Divide:Load ratio (against field/load)",
+			setup:   setupFieldDivide,
+		},
 	}
 }
 
@@ -240,6 +246,23 @@ func setupFieldLoad(sc Scenario) (*instance, error) {
 		tb.ReportAllocs()
 		for i := 0; i < tb.N; i++ {
 			d, err := field.Load(bytes.NewReader(data))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			sink = d
+		}
+	}}, nil
+}
+
+// setupFieldDivide prices the cold build field/load's warm start
+// replaces: the same 1 m paper-config division, divided per op.
+func setupFieldDivide(sc Scenario) (*instance, error) {
+	cfg := paperConfig()
+	rc, workers := mustClassifier(cfg), runtime.NumCPU()
+	return &instance{op: func(tb *testing.B) {
+		tb.ReportAllocs()
+		for i := 0; i < tb.N; i++ {
+			d, err := field.DivideWorkers(cfg.Field, rc, 1, workers)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -312,8 +312,10 @@ func (s *Session) execute(batch []*request) {
 			s.mu.Unlock()
 			s.publish(ew)
 		}
-		r.done <- resp
+		// Leave the in-flight count before answering: a caller whose
+		// Localize has returned must find the session quiesced (Export).
 		s.inflight.Add(-1)
+		r.done <- resp
 	}
 }
 
@@ -323,10 +325,10 @@ func (s *Session) drainQueue() {
 		select {
 		case r := <-s.in:
 			s.srv.met.queueDepth.Add(-1)
+			s.inflight.Add(-1)
 			if !r.canceled.Load() {
 				r.done <- response{err: ErrSessionClosed}
 			}
-			s.inflight.Add(-1)
 		default:
 			return
 		}
