@@ -129,7 +129,7 @@ func run(n int, layout string, eps, sigma, beta, size, cell, cval float64, seed 
 	for _, fi := range idx[:top] {
 		f := &div.Faces[fi]
 		fmt.Printf("  face %4d: %4d cells, centroid %v, %d neighbors, flipped-components=%d\n",
-			f.ID, f.Cells, f.Centroid, len(f.Neighbors), f.Signature.CountFlipped())
+			f.ID, f.Cells, f.Centroid, len(f.Neighbors), countZero(f.Signature))
 	}
 
 	if drawMap {
@@ -182,4 +182,15 @@ func printMap(div *field.Division, dep deploy.Deployment) {
 		}
 		fmt.Println(string(line))
 	}
+}
+
+// countZero counts a signature's Flipped (0) codes.
+func countZero(sig []int8) int {
+	n := 0
+	for _, c := range sig {
+		if c == 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -625,7 +625,7 @@ func unpackCounts(c uint64) (tot, inv uint32) { return uint32(c), uint32(c >> 32
 //
 // The snapshot taken by the preceding Apply call supplies the nodes'
 // actual reports; Observe is a no-op if no Apply preceded it.
-func (d *Defense) Observe(sig vector.Vector) {
+func (d *Defense) Observe(sig []int8) {
 	if !d.origValid || len(sig) != len(d.orig) {
 		return
 	}
@@ -636,11 +636,12 @@ func (d *Defense) Observe(sig vector.Vector) {
 	idx := 0
 	for i := 0; i < n; i++ {
 		// Row i holds pairs (i, i+1..n-1). One product classifies both
-		// values: pair values are Star (NaN) or finite in [−1, 1], so the
-		// product is NaN exactly when either is Star (the pair is
-		// uninformative) and negative exactly when both are nonzero with
-		// opposite signs (an inversion). Branch-free, because the
-		// outcome is as unpredictable as the reports.
+		// values: reported values are Star (NaN) or finite in [−1, 1] and
+		// signature codes are −1, 0 or +1, so the product is NaN exactly
+		// when the report is Star (the pair is uninformative) and
+		// negative exactly when both are nonzero with opposite signs (an
+		// inversion). Branch-free, because the outcome is as
+		// unpredictable as the reports.
 		row := d.orig[idx : idx+n-1-i]
 		srow := sig[idx : idx+len(row)]
 		col := counts[i+1:]
@@ -648,7 +649,7 @@ func (d *Defense) Observe(sig vector.Vector) {
 		idx += len(row)
 		var acc uint64
 		for c, o := range row {
-			p := o * srow[c]
+			p := o * vector.Value(srow[c])
 			var x uint64
 			if p == p {
 				x = 1
@@ -751,6 +752,6 @@ func (d *Defense) Observe(sig vector.Vector) {
 		}
 	}
 	if d.alert {
-		d.lastSig = append(d.lastSig[:0], sig...)
+		d.lastSig = vector.AppendCodes(d.lastSig[:0], sig)
 	}
 }

@@ -65,6 +65,15 @@ func honestVector(n int) vector.Vector {
 	return v
 }
 
+// honestSig is the signature codes matching honestVector.
+func honestSig(n int) []int8 {
+	sig := make([]int8, vector.NumPairs(n))
+	for k := range sig {
+		sig[k] = 1
+	}
+	return sig
+}
+
 // corrupt inverts every pair involving the given node in place.
 func corrupt(v vector.Vector, n int, node int) {
 	for k := range v {
@@ -95,7 +104,7 @@ func TestHonestFleetStaysUntouched(t *testing.T) {
 		if !vector.Equal(v, before) {
 			t.Fatalf("round %d: Apply modified an honest vector", round)
 		}
-		d.Observe(honestVector(n))
+		d.Observe(honestSig(n))
 	}
 	if s := d.Suspects(); len(s) != 0 {
 		t.Fatalf("honest fleet flagged suspects %v", s)
@@ -114,7 +123,7 @@ func TestDetectsInvertingNode(t *testing.T) {
 	const n, bad = 8, 2
 	reg := obs.NewRegistry()
 	d := New(Config{Enabled: true}, n, 5, reg)
-	sig := honestVector(n)
+	sig := honestSig(n)
 	var w []float64
 	for round := 0; round < 12; round++ {
 		v := honestVector(n)
@@ -188,12 +197,12 @@ func TestLastSigFreshOnAlert(t *testing.T) {
 		v := honestVector(n)
 		corrupt(v, n, 2)
 		d.Apply(v)
-		sig := honestVector(n)
-		sig[round%sig.Dim()] = vector.Flipped // a distinct signature per round
+		sig := honestSig(n)
+		sig[round%len(sig)] = 0 // a distinct signature per round
 		d.Observe(sig)
 		if d.alert {
 			alerted++
-			if !vector.Equal(d.lastSig, sig) {
+			if !vector.Equal(d.lastSig, vector.AppendCodes(nil, sig)) {
 				t.Fatalf("round %d: on alert with a stale lastSig", round)
 			}
 		}
@@ -208,7 +217,7 @@ func TestLastSigFreshOnAlert(t *testing.T) {
 func TestNoQuorumStarsOut(t *testing.T) {
 	const n = 4 // pairs involving a suspect have only 2 witnesses < MinQuorum=3
 	d := New(Config{Enabled: true, MinRounds: 1}, n, 5, nil)
-	sig := honestVector(n)
+	sig := honestSig(n)
 	for round := 0; round < 10; round++ {
 		v := honestVector(n)
 		corrupt(v, n, 0)
@@ -236,7 +245,7 @@ func TestNoQuorumStarsOut(t *testing.T) {
 func TestSuspectHysteresis(t *testing.T) {
 	const n = 8
 	d := New(Config{Enabled: true, MinRounds: 1}, n, 5, nil)
-	sig := honestVector(n)
+	sig := honestSig(n)
 	for round := 0; round < 8; round++ {
 		v := honestVector(n)
 		corrupt(v, n, 3)

@@ -143,6 +143,7 @@ func New(cfg Config) (*Router, error) {
 			// SSE: flush every write through immediately.
 			FlushInterval: -1,
 			Transport:     client.Transport,
+			BufferPool:    proxyBuffers,
 			ErrorHandler: func(w http.ResponseWriter, req *http.Request, err error) {
 				r.met.proxyErrors.Inc()
 				writeJSON(w, http.StatusBadGateway,
@@ -561,6 +562,19 @@ func (r *Router) isDraining(ctx context.Context, m *member) bool {
 func (r *Router) logf(format string, args ...any) {
 	fmt.Printf("fttt-router: "+format+"\n", args...)
 }
+
+// proxyBuffers recycles the proxies' response copy buffers. Without a
+// pool, ReverseProxy allocates a fresh 32 KiB buffer for every proxied
+// response, which made it most of the router's garbage.
+var proxyBuffers = &bufferPool{p: sync.Pool{New: func() any { return make([]byte, 32<<10) }}}
+
+// bufferPool adapts a sync.Pool to httputil.BufferPool. Boxing a
+// returned buffer costs a 24-byte slice header, not a 32 KiB buffer.
+type bufferPool struct{ p sync.Pool }
+
+func (b *bufferPool) Get() []byte { return b.p.Get().([]byte) }
+
+func (b *bufferPool) Put(buf []byte) { b.p.Put(buf) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

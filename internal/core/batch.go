@@ -56,7 +56,7 @@ func (t *Tracker) batchBegin(r *LocalizeRequest) batchPending {
 		// and a degraded round may re-collect from the unconditional
 		// "retry" substream after the fault-clock backoff.
 		p.roundSp, p.roundOwned = t.beginRound()
-		p.g = t.sampleTraced("sample", r.Pos, r.Rng)
+		p.g = t.sampleTraced("sample", r.Pos, r.Rng, &t.groups[0])
 		if t.cfg.StarFractionLimit > 0 {
 			retry := r.Rng.Split("retry")
 			pos := r.Pos
@@ -64,7 +64,7 @@ func (t *Tracker) batchBegin(r *LocalizeRequest) batchPending {
 				if t.faults != nil && t.cfg.RetryBackoff > 0 {
 					t.faults.Seek(t.faults.Now() + t.cfg.RetryBackoff)
 				}
-				return t.sampleTraced("resample", pos, retry)
+				return t.sampleTraced("resample", pos, retry, &t.groups[1])
 			}
 		}
 	}

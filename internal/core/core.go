@@ -223,6 +223,12 @@ type Tracker struct {
 	// round is the currently open localization round span; children
 	// (sampling, match) and degradation events parent under it.
 	round obs.SpanRef
+	// vbuf is samplingVector's storage and groups the collections'
+	// (the first, then the degradation policy's re-collection), reused
+	// every round: a round's groups and vector are dead once its
+	// estimate is built.
+	vbuf   vector.Vector
+	groups [2]*sampling.Group
 }
 
 // trackerMetrics caches the core metric handles. They are resolved once
@@ -317,7 +323,7 @@ func NewWithDivision(cfg Config, div *field.Division) (*Tracker, error) {
 	if div == nil || len(div.Faces) == 0 {
 		return nil, fmt.Errorf("core: division is empty")
 	}
-	if got, want := div.Faces[0].Signature.Dim(), vector.NumPairs(len(cfg.Nodes)); got != want {
+	if got, want := len(div.Faces[0].Signature), vector.NumPairs(len(cfg.Nodes)); got != want {
 		return nil, fmt.Errorf("core: division signature dimension %d does not match %d nodes (want %d pairs) — division built for a different deployment",
 			got, len(cfg.Nodes), want)
 	}
@@ -490,7 +496,7 @@ func (t *Tracker) Localize(pos geom.Point, rng *randx.Stream) Estimate {
 	// it; LocalizeGroupRetry's beginRound then sees the round already
 	// open and leaves ownership here.
 	sp, owned := t.beginRound()
-	g := t.sampleTraced("sample", pos, rng)
+	g := t.sampleTraced("sample", pos, rng, &t.groups[0])
 	var recollect func() *sampling.Group
 	if t.cfg.StarFractionLimit > 0 {
 		retry := rng.Split("retry")
@@ -500,7 +506,7 @@ func (t *Tracker) Localize(pos geom.Point, rng *randx.Stream) Estimate {
 				// re-collection — advance the fault clock past it.
 				t.faults.Seek(t.faults.Now() + t.cfg.RetryBackoff)
 			}
-			return t.sampleTraced("resample", pos, retry)
+			return t.sampleTraced("resample", pos, retry, &t.groups[1])
 		}
 	}
 	est := t.LocalizeGroupRetry(g, recollect)
@@ -542,16 +548,19 @@ func (t *Tracker) endRound(sp *obs.ActiveSpan, est Estimate) {
 // clear. Like every Tracker method it is single-goroutine.
 func (t *Tracker) SetRequestSpan(ref obs.SpanRef) { t.reqSpan = ref }
 
-// sampleTraced collects one grouping sampling, bracketed by a
-// "sampling" child span when tracing is on. The sampler's fault events
-// (report drops, RSS bias) parent under the collection span.
-func (t *Tracker) sampleTraced(name string, pos geom.Point, rng *randx.Stream) *sampling.Group {
+// sampleTraced collects one grouping sampling into the scratch group
+// *dst, bracketed by a "sampling" child span when tracing is on. The
+// sampler's fault events (report drops, RSS bias) parent under the
+// collection span.
+func (t *Tracker) sampleTraced(name string, pos geom.Point, rng *randx.Stream, dst **sampling.Group) *sampling.Group {
 	if t.rec == nil {
-		return t.sampler.Sample(pos, t.cfg.SamplingTimes, rng)
+		*dst = t.sampler.SampleInto(*dst, pos, t.cfg.SamplingTimes, rng)
+		return *dst
 	}
 	sp := t.rec.Start(t.round, "sampling", name)
 	t.sampler.TraceSpan = sp.Ref()
-	g := t.sampler.Sample(pos, t.cfg.SamplingTimes, rng)
+	g := t.sampler.SampleInto(*dst, pos, t.cfg.SamplingTimes, rng)
+	*dst = g
 	t.sampler.TraceSpan = obs.SpanRef{}
 	sp.Attr("reported", float64(g.NumReported()))
 	sp.End()
@@ -742,12 +751,14 @@ func (t *Tracker) matchWeighted(v vector.Vector, prev *field.Face, w []float64) 
 }
 
 // samplingVector builds the group's sampling vector for the configured
-// variant.
+// variant, in the tracker's reused storage.
 func (t *Tracker) samplingVector(g *sampling.Group) vector.Vector {
 	if t.cfg.Variant == Extended {
-		return g.ExtendedVector()
+		t.vbuf = g.ExtendedVectorInto(t.vbuf)
+	} else {
+		t.vbuf = g.VectorInto(t.vbuf)
 	}
-	return g.Vector()
+	return t.vbuf
 }
 
 // endMatchSpan annotates a match span with its result and publishes it.

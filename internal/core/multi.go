@@ -36,11 +36,6 @@ type MultiTracker struct {
 	mu      sync.RWMutex
 	targets map[string]*targetState
 
-	// soaOK reports that LocalizeBatch may route through the wave-
-	// structured SoA batch matcher: the division carries a quantized
-	// store and the configured matcher has a batch equivalent (TopM
-	// selects a weighted estimator the batch kernel does not replicate).
-	soaOK bool
 	// batchMu serializes the batched localization path: the engine below
 	// holds every participating target's lock for the whole batch, and
 	// one-at-a-time batches keep the multi-lock acquisition trivially
@@ -81,7 +76,6 @@ func NewMulti(cfg Config) (*MultiTracker, error) {
 		base:    cfg,
 		shared:  shared,
 		targets: make(map[string]*targetState),
-		soaOK:   cfg.TopM == 0 && shared.Division().SoA() != nil,
 	}
 	if cfg.Obs != nil {
 		m.metrics = &multiMetrics{
@@ -248,9 +242,9 @@ type LocalizeRequest struct {
 // primitive the serving micro-batcher (internal/serve) coalesces
 // concurrent localize calls into.
 //
-// When the shared division carries a quantized SoA signature store and
-// the configured matcher has a batch equivalent (every config except
-// TopM > 0), the batch executes as waves: one pending request per
+// When the configured matcher has a batch equivalent (every config
+// except TopM > 0, a weighted estimator the batch kernel does not
+// replicate), the batch executes as waves: one pending request per
 // target per wave runs its sampling, then a single match.Batch pass
 // scores every wave lane's first match against the SoA store —
 // bitwise-identical to the per-lane serial matcher by the batch
@@ -260,22 +254,29 @@ type LocalizeRequest struct {
 // runtime.NumCPU(); 1 is serial) exactly as before; workers is ignored
 // on the wave path.
 func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Estimate, error) {
-	states := make(map[string]*targetState, len(reqs))
-	order := make([]string, 0, len(reqs))
-	byTarget := make(map[string][]int, len(reqs))
+	bi := batchIndexPool.Get().(*batchIndex)
+	defer bi.release()
 	for i, r := range reqs {
 		if r.Group == nil && r.Rng == nil {
 			return nil, fmt.Errorf("core: request %d (%q) has neither Group nor Rng", i, r.ID)
 		}
-		if _, ok := states[r.ID]; !ok {
+		j, ok := bi.pos[r.ID]
+		if !ok {
 			ts, err := m.target(r.ID)
 			if err != nil {
 				return nil, err
 			}
-			states[r.ID] = ts
-			order = append(order, r.ID)
+			j = len(bi.states)
+			bi.pos[r.ID] = j
+			bi.states = append(bi.states, ts)
+			if j < cap(bi.reqs) { // reuse a released request list
+				bi.reqs = bi.reqs[:j+1]
+				bi.reqs[j] = bi.reqs[j][:0]
+			} else {
+				bi.reqs = append(bi.reqs, nil)
+			}
 		}
-		byTarget[r.ID] = append(byTarget[r.ID], i)
+		bi.reqs[j] = append(bi.reqs[j], i)
 	}
 	ests := make([]Estimate, len(reqs))
 	// The batch span records how the micro-batcher coalesced this round
@@ -286,15 +287,15 @@ func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Est
 	batchSpan := rec.Start(obs.SpanRef{}, "core", "localize_batch")
 	if rec != nil {
 		batchSpan.Attr("requests", float64(len(reqs)))
-		batchSpan.Attr("targets", float64(len(order)))
+		batchSpan.Attr("targets", float64(len(bi.states)))
 		for i := range reqs {
 			rec.Link(batchSpan.Ref(), reqs[i].Span)
 		}
 	}
-	if m.soaOK {
-		m.localizeBatchWaves(reqs, states, order, byTarget, ests)
+	if m.base.TopM == 0 {
+		m.localizeBatchWaves(reqs, bi, ests)
 	} else {
-		m.localizeBatchFanOut(reqs, states, order, byTarget, ests, workers)
+		m.localizeBatchFanOut(reqs, bi, ests, workers)
 	}
 	batchSpan.End()
 	return ests, nil
@@ -303,12 +304,11 @@ func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Est
 // localizeBatchFanOut is the pre-SoA execution strategy: distinct
 // targets fan across a worker pool, each running its requests serially
 // through the per-target tracker (and its serial matcher).
-func (m *MultiTracker) localizeBatchFanOut(reqs []LocalizeRequest, states map[string]*targetState, order []string, byTarget map[string][]int, ests []Estimate, workers int) {
-	fanOut(len(order), workers, func(ti int) {
-		id := order[ti]
-		ts := states[id]
+func (m *MultiTracker) localizeBatchFanOut(reqs []LocalizeRequest, bi *batchIndex, ests []Estimate, workers int) {
+	fanOut(len(bi.states), workers, func(ti int) {
+		ts := bi.states[ti]
 		ts.mu.Lock()
-		for _, ri := range byTarget[id] {
+		for _, ri := range bi.reqs[ti] {
 			r := reqs[ri]
 			ts.tr.SetRequestSpan(r.Span)
 			if r.Group != nil {
@@ -334,7 +334,7 @@ func (m *MultiTracker) localizeBatchFanOut(reqs []LocalizeRequest, states map[st
 // the serial flow. Every target lock is held for the whole batch;
 // batchMu keeps multi-lock acquisition single-flight (single-lock
 // callers like LocalizeGroup cannot form a cycle against it).
-func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[string]*targetState, order []string, byTarget map[string][]int, ests []Estimate) {
+func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, bi *batchIndex, ests []Estimate) {
 	m.batchMu.Lock()
 	defer m.batchMu.Unlock()
 	if m.bm == nil {
@@ -349,12 +349,11 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 			Exhaustive:    m.base.Exhaustive,
 		}
 	}
-	for _, id := range order {
-		states[id].mu.Lock()
+	for _, ts := range bi.states {
+		ts.mu.Lock()
 	}
 	defer func() {
-		for _, id := range order {
-			ts := states[id]
+		for _, ts := range bi.states {
 			ts.tr.SetRequestSpan(obs.SpanRef{})
 			ts.mu.Unlock()
 		}
@@ -362,13 +361,13 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 	pend, vs, prevs, ws := m.pend, m.laneVs, m.lanePrevs, m.laneWs
 	for wave := 0; ; wave++ {
 		pend, vs, prevs, ws = pend[:0], vs[:0], prevs[:0], ws[:0]
-		for _, id := range order {
-			ris := byTarget[id]
+		for j, ts := range bi.states {
+			ris := bi.reqs[j]
 			if wave >= len(ris) {
 				continue
 			}
 			ri := ris[wave]
-			p := states[id].tr.batchBegin(&reqs[ri])
+			p := ts.tr.batchBegin(&reqs[ri])
 			p.reqIdx = ri
 			pend = append(pend, p)
 			vs = append(vs, p.v)
@@ -392,6 +391,26 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 		}
 	}
 	m.pend, m.laneVs, m.lanePrevs, m.laneWs = pend, vs, prevs, ws
+}
+
+// batchIndex groups one LocalizeBatch call's requests by target, in
+// first-appearance order: states[j] is the j-th target's state, reqs[j]
+// its request indices in slice order, and pos maps a target ID to j.
+// LocalizeBatch takes one from batchIndexPool and returns it, so
+// steady batches reuse its map and slices.
+type batchIndex struct {
+	pos    map[string]int
+	states []*targetState
+	reqs   [][]int
+}
+
+var batchIndexPool = sync.Pool{New: func() any { return &batchIndex{pos: make(map[string]int)} }}
+
+func (bi *batchIndex) release() {
+	clear(bi.pos)
+	clear(bi.states)
+	bi.states, bi.reqs = bi.states[:0], bi.reqs[:0]
+	batchIndexPool.Put(bi)
 }
 
 // FaultScheduler exposes one target's fault scheduler (created on first

@@ -21,7 +21,7 @@ import (
 // boundary thinner than the probe spacing can be missed inside a
 // "uniform" block, which is the documented approximation — shrink coarse
 // to tighten it.
-func AdaptiveDivide(fieldRect geom.Rect, classifier PairClassifier, coarse, fine float64) (*Division, error) {
+func AdaptiveDivide(fieldRect geom.Rect, classifier *RatioClassifier, coarse, fine float64) (*Division, error) {
 	if fine <= 0 {
 		return nil, fmt.Errorf("field: non-positive fine cell size %v", fine)
 	}
@@ -80,5 +80,5 @@ func AdaptiveDivide(fieldRect geom.Rect, classifier PairClassifier, coarse, fine
 	}
 	// Centroids sum in the same block walk, so the float order is the
 	// walk's.
-	return d.finish(cc, iratio)
+	return d.finish(cc, iratio), nil
 }

@@ -1,12 +1,12 @@
 package field
 
 import (
+	"slices"
 	"testing"
 
 	"fttt/internal/deploy"
 	"fttt/internal/geom"
 	"fttt/internal/randx"
-	"fttt/internal/vector"
 )
 
 func TestAdaptiveDivideValidation(t *testing.T) {
@@ -44,7 +44,7 @@ func TestAdaptiveMatchesUniformMostCells(t *testing.T) {
 		for c := 0; c < uniform.Cols; c++ {
 			p := uniform.CellCenter(c, r)
 			total++
-			if vector.Equal(uniform.FaceAt(p).Signature, adaptive.FaceAt(p).Signature) {
+			if slices.Equal(uniform.FaceAt(p).Signature, adaptive.FaceAt(p).Signature) {
 				agree++
 			}
 		}
@@ -89,7 +89,7 @@ func TestAdaptiveLemma1StillHolds(t *testing.T) {
 		c2, r2 := rng.Intn(div.Cols), rng.Intn(div.Rows)
 		f1 := div.FaceAt(div.CellCenter(c1, r1))
 		f2 := div.FaceAt(div.CellCenter(c2, r2))
-		if (f1.ID == f2.ID) != vector.Equal(f1.Signature, f2.Signature) {
+		if (f1.ID == f2.ID) != slices.Equal(f1.Signature, f2.Signature) {
 			t.Fatal("Lemma 1 violated in adaptive division")
 		}
 	}
@@ -109,7 +109,7 @@ func TestAdaptiveCoarseEqualsFineDegenerate(t *testing.T) {
 	for r := 0; r < uniform.Rows; r++ {
 		for c := 0; c < uniform.Cols; c++ {
 			p := uniform.CellCenter(c, r)
-			if !vector.Equal(uniform.FaceAt(p).Signature, adaptive.FaceAt(p).Signature) {
+			if !slices.Equal(uniform.FaceAt(p).Signature, adaptive.FaceAt(p).Signature) {
 				t.Fatalf("cell (%d,%d) signatures differ", c, r)
 			}
 		}

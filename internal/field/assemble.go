@@ -1,12 +1,9 @@
 package field
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"fttt/internal/geom"
-	"fttt/internal/vector"
 )
 
 // faceGeometry builds the face records from the raster: IDs, cell
@@ -81,112 +78,17 @@ func (d *Division) eachLink(fn func(a, b int)) {
 
 // assemble derives everything DivideWorkers, AdaptiveDivide and Load
 // share from a face-major row store s and face records carrying IDs,
-// centroids, cell counts and neighbour lists: the SoA views, the float
-// signature slab, the signature index and the per-link NeighborDiffs.
-// One code path builds a divided and a loaded division, so they are
+// centroids, cell counts and neighbour lists: the bitplanes, each
+// face's Signature view of its row and the per-link NeighborDiffs. One
+// code path builds a divided and a loaded division, so they are
 // reflect.DeepEqual by construction.
-//
-// symbols is nil for a quantized store, which becomes the division's
-// SoA. Otherwise s holds a custom classifier's unquantizable values as
-// code bytes (Denom 0) that symbols decodes; it finishes the division
-// and is dropped, leaving the division without an SoA store.
-func (d *Division) assemble(s *SigSoA, symbols *[256]vector.Value) error {
-	if symbols == nil {
-		s.deriveViews()
-		d.soa = s
-	}
-	// The float slab is the largest view and depends on no other: build
-	// it beside the rest.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		d.deriveSignatures(s, symbols)
-	}()
-	defer func() { <-done }()
-	if err := d.indexSignatures(s, symbols); err != nil {
-		return err
+func (d *Division) assemble(s *SigSoA) {
+	s.deriveBitplanes()
+	d.soa = s
+	for f := range d.Faces {
+		d.Faces[f].Signature = s.FaceRow(f)
 	}
 	d.deriveNeighborDiffs(s)
-	return nil
-}
-
-// decodeTable returns the value each code byte of s stands for: symbols
-// itself, or the dequantized code of a quantized store.
-func decodeTable(s *SigSoA, symbols *[256]vector.Value) (val [256]vector.Value) {
-	if symbols != nil {
-		return *symbols
-	}
-	for i := range val {
-		val[i] = vector.Dequantize(int8(i), s.Denom)
-	}
-	return val
-}
-
-// deriveSignatures decodes every face's float signature from the store
-// rows into one slab.
-func (d *Division) deriveSignatures(s *SigSoA, symbols *[256]vector.Value) {
-	val := decodeTable(s, symbols)
-	slab := make(vector.Vector, len(s.Rows))
-	for i, c := range s.Rows {
-		slab[i] = val[uint8(c)]
-	}
-	for f := range d.Faces {
-		d.Faces[f].Signature = slab[f*s.Dim : (f+1)*s.Dim : (f+1)*s.Dim]
-	}
-}
-
-// indexSignatures builds bySig from the store rows. The keys are the
-// strings Vector.Key gives the float signatures, assembled from a
-// per-code fragment table into one backing string.
-func (d *Division) indexSignatures(s *SigSoA, symbols *[256]vector.Value) error {
-	val := decodeTable(s, symbols)
-	var frag [256]string
-	fragment := func(c int8) string {
-		if frag[uint8(c)] == "" {
-			frag[uint8(c)] = vector.Vector{val[uint8(c)]}.Key()
-		}
-		return frag[uint8(c)]
-	}
-	var sb strings.Builder
-	ends := make([]int, len(d.Faces))
-	if s.Denom == 1 { // every fragment is one byte: map a row at a time
-		sb.Grow(len(s.Rows))
-		var tbl [256]byte
-		for _, c := range [...]int8{-1, 0, 1, vector.StarCode} {
-			tbl[uint8(c)] = fragment(c)[0]
-		}
-		row := make([]byte, s.Dim)
-		for f := range ends {
-			for k, c := range s.FaceRow(f) {
-				row[k] = tbl[uint8(c)]
-			}
-			sb.Write(row)
-			ends[f] = sb.Len()
-		}
-	} else {
-		for f := range ends {
-			for _, c := range s.FaceRow(f) {
-				sb.WriteString(fragment(c))
-			}
-			ends[f] = sb.Len()
-		}
-	}
-	keys := sb.String()
-	d.bySig = make(map[string]int, len(d.Faces))
-	start := 0
-	for f, end := range ends {
-		key := keys[start:end]
-		if prev, dup := d.bySig[key]; dup {
-			// Lemma 1: signatures are unique per face. A duplicate means
-			// the file is corrupt (or hand-edited); silently letting the
-			// later face win would collapse two faces into one and skew
-			// every signature lookup, so reject instead.
-			return fmt.Errorf("faces %d and %d share a signature (corrupt division)", prev, f)
-		}
-		d.bySig[key] = f
-		start = end
-	}
-	return nil
 }
 
 // deriveNeighborDiffs fills every face's NeighborDiffs from the store

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -97,14 +98,15 @@ func TestDivideMatchesParentDigests(t *testing.T) {
 // replaced, kept as FuzzDivide's oracle: one Classify call per pair,
 // faces interned by Vector.Key, centroids summed row-major, neighbour
 // sets per face, diffs by float comparison, and the int8 store
-// quantized from the float signatures with a plain transpose.
-func referenceDivide(fieldRect geom.Rect, pc PairClassifier, cellSize float64) (*Division, error) {
+// converted from the float signatures with per-component bitplanes.
+func referenceDivide(fieldRect geom.Rect, rc *RatioClassifier, cellSize float64) (*Division, error) {
 	cols, rows, err := gridDims(fieldRect, cellSize)
 	if err != nil {
 		return nil, err
 	}
 	d := &Division{Field: fieldRect, CellSize: cellSize, Cols: cols, Rows: rows,
-		cellFace: make([]int, cols*rows), bySig: make(map[string]int)}
+		cellFace: make([]int, cols*rows)}
+	bySig := make(map[string]int)
 	type accum struct {
 		sig        vector.Vector
 		sumX, sumY float64
@@ -113,12 +115,12 @@ func referenceDivide(fieldRect geom.Rect, pc PairClassifier, cellSize float64) (
 	var acc []*accum
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			sig := Signature(pc, d.CellCenter(c, r))
+			sig := Signature(rc, d.CellCenter(c, r))
 			key := sig.Key()
-			id, ok := d.bySig[key]
+			id, ok := bySig[key]
 			if !ok {
 				id = len(acc)
-				d.bySig[key] = id
+				bySig[key] = id
 				acc = append(acc, &accum{sig: sig})
 			}
 			d.cellFace[r*cols+c] = id
@@ -153,7 +155,9 @@ func referenceDivide(fieldRect geom.Rect, pc PairClassifier, cellSize float64) (
 		}
 	}
 	d.Faces = make([]Face, len(acc))
+	sigs := make([]vector.Vector, len(acc))
 	for id, a := range acc {
+		sigs[id] = a.sig
 		nbrs := make([]int, 0, len(sets[id]))
 		for nb := range sets[id] {
 			nbrs = append(nbrs, nb)
@@ -167,51 +171,36 @@ func referenceDivide(fieldRect geom.Rect, pc PairClassifier, cellSize float64) (
 				}
 			}
 		}
-		d.Faces[id] = Face{ID: id, Signature: a.sig, Cells: a.cells, Neighbors: nbrs, NeighborDiffs: diffs,
+		d.Faces[id] = Face{ID: id, Cells: a.cells, Neighbors: nbrs, NeighborDiffs: diffs,
 			Centroid: geom.Pt(a.sumX/float64(a.cells), a.sumY/float64(a.cells))}
 	}
-	d.soa = referenceSoA(d.Faces)
+	d.soa = referenceSoA(sigs)
+	for f := range d.Faces {
+		d.Faces[f].Signature = d.soa.Rows[f*d.soa.Dim : (f+1)*d.soa.Dim]
+	}
 	return d, nil
 }
 
-// referenceSoA quantizes the float signatures into a store the way the
-// float-keyed pass did: the common denominator, row-major codes, a
-// naive transpose and per-component bitplanes.
-func referenceSoA(faces []Face) *SigSoA {
-	sigs := make([]vector.Vector, len(faces))
-	for i := range faces {
-		sigs[i] = faces[i].Signature
-	}
-	denom := vector.CommonDenominator(sigs...)
-	if denom == 0 {
-		return nil
-	}
-	nf, dim := len(faces), sigs[0].Dim()
-	s := &SigSoA{NumFaces: nf, Dim: dim, Denom: denom, Words: (dim + 63) / 64,
-		Rows: make([]int8, nf*dim), Cols: make([]int8, nf*dim)}
-	star := false
+// referenceSoA converts the float signatures into a store the way the
+// float-keyed pass did: row-major codes and per-component bitplanes.
+func referenceSoA(sigs []vector.Vector) *SigSoA {
+	nf, dim := len(sigs), sigs[0].Dim()
+	words := (dim + 63) / 64
+	s := &SigSoA{NumFaces: nf, Dim: dim, Words: words, Rows: make([]int8, nf*dim),
+		PosBits: make([]uint64, nf*words), NegBits: make([]uint64, nf*words)}
 	for f, sig := range sigs {
 		for k, v := range sig {
-			c, err := vector.Quantize(v, denom)
-			if err != nil {
-				panic(err)
-			}
-			s.Rows[f*dim+k], s.Cols[k*nf+f] = c, c
-			star = star || c == vector.StarCode
-		}
-	}
-	if denom != 1 || star {
-		return s
-	}
-	s.PosBits, s.NegBits = make([]uint64, nf*s.Words), make([]uint64, nf*s.Words)
-	for f := 0; f < nf; f++ {
-		for k := 0; k < dim; k++ {
 			bit := uint64(1) << (k % 64)
-			switch s.Rows[f*dim+k] {
-			case 1:
+			switch v {
+			case vector.Nearer:
+				s.Rows[f*dim+k] = 1
 				s.PosBits[f*s.Words+k/64] |= bit
-			case -1:
+			case vector.Farther:
+				s.Rows[f*dim+k] = -1
 				s.NegBits[f*s.Words+k/64] |= bit
+			case vector.Flipped:
+			default:
+				panic(fmt.Sprintf("face %d component %d: non-ternary value %v", f, k, v))
 			}
 		}
 	}
@@ -244,32 +233,13 @@ func TestReferenceDivideAgrees(t *testing.T) {
 			t.Fatalf("%s: %s", tc.name, divisionDiff(want, got))
 		}
 	}
-	// Custom classifiers take the code-alphabet path: Star-bearing,
-	// denominator-2, unquantizable (no SoA) and single-face divisions.
-	// Star is NaN, so these compare with divisionDiff.
-	small := geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
-	for _, pc := range []PairClassifier{starClassifier{}, halfClassifier{}, irrationalClassifier{}, constClassifier{}} {
-		want, err := referenceDivide(small, pc, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 2} {
-			got, err := DivideWorkers(small, pc, 1, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := divisionDiff(want, got); diff != "" {
-				t.Fatalf("%T workers=%d: %s", pc, w, diff)
-			}
-		}
-	}
 }
 
 // FuzzDivide compares DivideWorkers with the float-keyed reference pass
 // over small random deployments: 2–9 nodes, C ∈ [1, 3], cell sizes
 // from 2 to 12.5 m on a 50 m field, and 1–4 workers. The divisions
-// must be reflect.DeepEqual — raster, faces, neighbour diffs, SoA store
-// and signature index.
+// must be reflect.DeepEqual — raster, faces, neighbour diffs and SoA
+// store.
 func FuzzDivide(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint16(0), uint8(0), uint8(1))
 	f.Add(uint64(2), uint8(9), uint16(1000), uint8(7), uint8(2))

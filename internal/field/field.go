@@ -14,21 +14,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"fttt/internal/geom"
 	"fttt/internal/vector"
 )
-
-// PairClassifier assigns the geometric node-pair value of a location:
-// for the pair (i, j) with i < j it returns Nearer (+1) when the point is
-// firmly nearer node i, Farther (-1) when firmly nearer node j, and
-// Flipped (0) inside the pair's uncertain area.
-type PairClassifier interface {
-	Classify(p geom.Point, i, j int) vector.Value
-	// NumNodes returns the number of nodes the classifier covers.
-	NumNodes() int
-}
 
 // RatioClassifier classifies by distance ratio against the uncertainty
 // constant C of eq. 3: value +1 iff d_i ≤ d_j / C, -1 iff d_i ≥ C·d_j,
@@ -51,11 +42,14 @@ func NewRatioClassifier(nodes []geom.Point, c float64) (*RatioClassifier, error)
 	return &RatioClassifier{Nodes: nodes, C: c}, nil
 }
 
-// NumNodes implements PairClassifier.
+// NumNodes returns the number of nodes the classifier covers.
 func (rc *RatioClassifier) NumNodes() int { return len(rc.Nodes) }
 
-// Classify implements PairClassifier. Divide runs the same test inlined
-// over a whole cell (codeRow).
+// Classify assigns the geometric node-pair value of p: for the pair
+// (i, j) with i < j it returns Nearer (+1) when p is firmly nearer node
+// i, Farther (-1) when firmly nearer node j, and Flipped (0) inside the
+// pair's uncertain area. Divide runs the same test inlined over a whole
+// cell (codeRow).
 func (rc *RatioClassifier) Classify(p geom.Point, i, j int) vector.Value {
 	di, dj := p.Dist(rc.Nodes[i]), p.Dist(rc.Nodes[j])
 	switch {
@@ -69,7 +63,7 @@ func (rc *RatioClassifier) Classify(p geom.Point, i, j int) vector.Value {
 }
 
 // Signature returns the full signature vector of point p (Def. 6).
-func Signature(c PairClassifier, p geom.Point) vector.Vector {
+func Signature(c *RatioClassifier, p geom.Point) vector.Vector {
 	n, k := c.NumNodes(), 0
 	v := vector.New(n)
 	for i := 0; i < n; i++ {
@@ -85,8 +79,10 @@ func Signature(c PairClassifier, p geom.Point) vector.Vector {
 type Face struct {
 	// ID indexes the face within its Division.
 	ID int
-	// Signature is the face's signature vector (Lemma 1: unique per face).
-	Signature vector.Vector
+	// Signature is the face's signature vector (Lemma 1: unique per face)
+	// as its ternary codes, +1, 0 or −1 per node pair: a read-only view
+	// of the face's row in the division's SigSoA.Rows.
+	Signature []int8
 	// Centroid is the mean of the member cell centres (eq. 5) — the
 	// location estimate reported when the target matches this face.
 	Centroid geom.Point
@@ -103,8 +99,8 @@ type Face struct {
 	NeighborDiffs [][]int
 }
 
-// Division is the preprocessed monitor area: the face set, the signature
-// index, and the cell-to-face raster.
+// Division is the preprocessed monitor area: the face set, the
+// signature store, and the cell-to-face raster.
 type Division struct {
 	Field    geom.Rect
 	CellSize float64
@@ -114,17 +110,13 @@ type Division struct {
 
 	// cellFace[r*Cols+c] is the face ID of the cell at column c, row r.
 	cellFace []int
-	// bySig maps a ternary signature key to its face ID.
-	bySig map[string]int
-	// soa is the quantized structure-of-arrays signature store the batch
-	// matcher streams; nil when the signatures do not quantize (exotic
-	// custom classifiers). Built once alongside the faces, immutable.
+	// soa is the signature store every Face.Signature views. Built once
+	// alongside the faces, immutable.
 	soa *SigSoA
 }
 
-// SoA returns the division's quantized structure-of-arrays signature
-// store, or nil when the signatures do not quantize losslessly into
-// int8 — callers must fall back to the AoS Face.Signature path then.
+// SoA returns the division's signature store: the int8 code rows and
+// their bitplanes.
 func (d *Division) SoA() *SigSoA { return d.soa }
 
 // dimEps guards the ceiling grid division against floating-point noise:
@@ -157,7 +149,7 @@ func gridDims(fieldRect geom.Rect, cellSize float64) (cols, rows int, err error)
 // last row/column overhangs the field (the field is always fully
 // covered). The signature pass is fanned across runtime.NumCPU() workers;
 // the result is identical for every worker count (see DivideWorkers).
-func Divide(fieldRect geom.Rect, classifier PairClassifier, cellSize float64) (*Division, error) {
+func Divide(fieldRect geom.Rect, classifier *RatioClassifier, cellSize float64) (*Division, error) {
 	return DivideWorkers(fieldRect, classifier, cellSize, runtime.NumCPU())
 }
 
@@ -168,10 +160,8 @@ func Divide(fieldRect geom.Rect, classifier PairClassifier, cellSize float64) (*
 // shard order, and a shard's local first appearances are already in
 // row-major order, so the concatenation reproduces the global scan order
 // exactly — and centroids are accumulated in a separate serial row-major
-// pass so float summation order never depends on the sharding. Only a
-// RatioClassifier is sharded; any other classifier runs as one shard,
-// since its values share one code alphabet.
-func DivideWorkers(fieldRect geom.Rect, classifier PairClassifier, cellSize float64, workers int) (*Division, error) {
+// pass so float summation order never depends on the sharding.
+func DivideWorkers(fieldRect geom.Rect, classifier *RatioClassifier, cellSize float64, workers int) (*Division, error) {
 	cols, rows, err := gridDims(fieldRect, cellSize)
 	if err != nil {
 		return nil, err
@@ -179,10 +169,8 @@ func DivideWorkers(fieldRect geom.Rect, classifier PairClassifier, cellSize floa
 	d := &Division{Field: fieldRect, CellSize: cellSize, Cols: cols, Rows: rows, cellFace: make([]int, cols*rows)}
 
 	coders := []*cellCoder{newCellCoder(classifier)}
-	if coders[0].rc != nil {
-		for len(coders) < min(workers, rows) {
-			coders = append(coders, newCellCoder(classifier))
-		}
+	for len(coders) < min(workers, rows) {
+		coders = append(coders, newCellCoder(classifier))
 	}
 	var wg sync.WaitGroup
 	for s, cc := range coders {
@@ -216,7 +204,7 @@ func DivideWorkers(fieldRect geom.Rect, classifier PairClassifier, cellSize floa
 			d.cellFace[i] = remap[d.cellFace[i]]
 		}
 	}
-	return d.finish(global, 1)
+	return d.finish(global, 1), nil
 }
 
 // CellCenter returns the centre of the cell at column c, row r.
@@ -238,16 +226,6 @@ func (d *Division) CellOf(p geom.Point) (c, r int) {
 func (d *Division) FaceAt(p geom.Point) *Face {
 	c, r := d.CellOf(p)
 	return &d.Faces[d.cellFace[r*d.Cols+c]]
-}
-
-// FaceBySignature returns the face with exactly this ternary signature, or
-// nil if no grid cell produced it.
-func (d *Division) FaceBySignature(sig vector.Vector) *Face {
-	id, ok := d.bySig[sig.Key()]
-	if !ok {
-		return nil
-	}
-	return &d.Faces[id]
 }
 
 // NumFaces returns the number of distinct faces.
@@ -283,7 +261,7 @@ func (d *Division) UncertainFraction() float64 {
 	}
 	cells := 0
 	for _, f := range d.Faces {
-		if f.Signature.CountFlipped() > 0 {
+		if slices.Contains(f.Signature, 0) {
 			cells += f.Cells
 		}
 	}

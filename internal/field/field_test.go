@@ -2,6 +2,7 @@ package field
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fttt/internal/deploy"
@@ -14,6 +15,18 @@ import (
 var fieldRect = geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 
 func defaultC() float64 { return rf.Default().UncertaintyC(1) }
+
+// codes converts a ternary signature vector to its int8 codes.
+func codes(v vector.Vector) []int8 {
+	c := make([]int8, len(v))
+	for k, x := range v {
+		c[k] = int8(x)
+	}
+	return c
+}
+
+// vec is the signature vector of a code row.
+func vec(row []int8) vector.Vector { return vector.AppendCodes(nil, row) }
 
 func gridClassifier(t *testing.T, n int, c float64) *RatioClassifier {
 	t.Helper()
@@ -185,28 +198,9 @@ func TestFaceSignatureMatchesMembers(t *testing.T) {
 		c, r := rng.Intn(div.Cols), rng.Intn(div.Rows)
 		p := div.CellCenter(c, r)
 		f := div.FaceAt(p)
-		if !vector.Equal(f.Signature, Signature(rc, p)) {
+		if !slices.Equal(f.Signature, codes(Signature(rc, p))) {
 			t.Fatalf("face %d signature mismatch at %v", f.ID, p)
 		}
-	}
-}
-
-func TestFaceBySignature(t *testing.T) {
-	rc := gridClassifier(t, 4, defaultC())
-	div, _ := Divide(fieldRect, rc, 2)
-	for _, f := range div.Faces[:min(10, len(div.Faces))] {
-		got := div.FaceBySignature(f.Signature)
-		if got == nil || got.ID != f.ID {
-			t.Errorf("FaceBySignature failed for face %d", f.ID)
-		}
-	}
-	// Unknown signature.
-	weird := vector.New(4) // 6-dim zero vector may exist; build impossible one
-	for k := range weird {
-		weird[k] = vector.Star
-	}
-	if div.FaceBySignature(weird) != nil {
-		t.Error("all-star signature should have no face")
 	}
 }
 
@@ -252,7 +246,7 @@ func TestTheorem1MostNeighborsDifferByOne(t *testing.T) {
 				continue // count each undirected link once
 			}
 			total++
-			if vector.HammingNeighbors(f.Signature, div.Faces[nb].Signature) {
+			if vector.HammingNeighbors(vec(f.Signature), vec(div.Faces[nb].Signature)) {
 				obey++
 			}
 		}
@@ -379,7 +373,7 @@ func divisionsIdentical(t *testing.T, want, got *Division) {
 		if w.ID != g.ID || w.Cells != g.Cells {
 			t.Fatalf("face %d: ID/Cells %d/%d vs %d/%d", id, g.ID, g.Cells, w.ID, w.Cells)
 		}
-		if !vector.Equal(w.Signature, g.Signature) {
+		if !slices.Equal(w.Signature, g.Signature) {
 			t.Fatalf("face %d signature differs", id)
 		}
 		if w.Centroid != g.Centroid { // exact float equality, not tolerance
@@ -500,7 +494,7 @@ func TestSignatureDistanceFastPathMatchesClassify(t *testing.T) {
 			k := 0
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					want, _ := vector.Quantize(rc.Classify(p, i, j), 1)
+					want := int8(rc.Classify(p, i, j))
 					if int8(row[k]) != want {
 						t.Fatalf("C=%v pair (%d,%d) at %v: code %d vs classify %d", c, i, j, p, int8(row[k]), want)
 					}

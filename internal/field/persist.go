@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"fttt/internal/geom"
-	"fttt/internal/vector"
 )
 
 // The division spill format (DESIGN.md §13). The preprocessing phase of
@@ -24,8 +23,9 @@ import (
 //
 //	magic    "FTTTDIV" and the version byte 1
 //	header   field MinX, MinY, MaxX, MaxY and cell size (5 × 8 bytes),
-//	         then cols, rows, faces, dim, denom
-//	codes    faces × dim int8 signature codes, face-major (SigSoA.Rows)
+//	         then cols, rows, faces, dim, denom (always 1)
+//	codes    faces × dim ternary int8 signature codes (−1, 0, +1),
+//	         face-major (SigSoA.Rows)
 //	faces    per face: centroid X, Y (2 × 8 bytes), cell count,
 //	         neighbour count, then each ascending neighbour ID as its
 //	         gap − 1 to the previous one (the first counts from −1)
@@ -33,10 +33,11 @@ import (
 //	         different faces
 //	trailer  CRC-32C (Castagnoli) of everything above, 4 bytes LE
 //
-// Everything else a Division holds — the float signatures, the SoA
-// transpose and bitplanes, NeighborDiffs and the signature index — is
-// derived on Load. Every field has exactly one encoding, so
-// Save(Load(b)) reproduces b byte for byte.
+// The denom field is a leftover of a format that could hold fractional
+// codes: Save writes 1 and Load rejects any other value. Everything else
+// a Division holds — the bitplanes and NeighborDiffs — is derived on
+// Load. Every field has exactly one encoding, so Save(Load(b))
+// reproduces b byte for byte.
 const (
 	spillMagic   = "FTTTDIV"
 	spillVersion = 1
@@ -62,14 +63,13 @@ var (
 	errTruncated = errors.New("truncated")
 	errTrailing  = errors.New("trailing bytes after the raster")
 	errCode      = errors.New("illegal int8 signature code")
+	errDenom     = errors.New("signature code denominator is not 1")
 	errSize      = errors.New("declared size exceeds the payload")
 	errVarint    = errors.New("malformed varint")
 )
 
 // Save writes the division in the spill format with one Write. The
-// signature codes are quantized from the Face records, which stay the
-// source of truth; a division without an SoA store (signatures no int8
-// denominator represents) cannot be saved.
+// signature codes are read from the Face records.
 func (d *Division) Save(w io.Writer) error {
 	b, _, err := d.encodeSpill()
 	if err != nil {
@@ -89,14 +89,13 @@ type spillLayout struct {
 
 func (d *Division) encodeSpill() ([]byte, spillLayout, error) {
 	var lay spillLayout
-	s := d.soa
-	if s == nil {
-		return nil, lay, errors.New("division has no int8 signature store (its signatures do not quantize), so the spill format cannot hold it")
-	}
 	if d.Cols*d.Rows > maxRasterCells {
 		return nil, lay, fmt.Errorf("raster %dx%d exceeds the format's %d cells", d.Cols, d.Rows, maxRasterCells)
 	}
-	nf, dim := len(d.Faces), s.Dim
+	nf, dim := len(d.Faces), 0
+	if nf > 0 {
+		dim = len(d.Faces[0].Signature)
+	}
 	links := 0
 	for i := range d.Faces {
 		links += len(d.Faces[i].Neighbors)
@@ -108,7 +107,7 @@ func (d *Division) encodeSpill() ([]byte, spillLayout, error) {
 	for _, v := range [5]float64{d.Field.Min.X, d.Field.Min.Y, d.Field.Max.X, d.Field.Max.Y, d.CellSize} {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	for _, v := range [5]int{d.Cols, d.Rows, nf, dim, s.Denom} {
+	for _, v := range [5]int{d.Cols, d.Rows, nf, dim, 1} {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
 	lay.header = len(b)
@@ -118,12 +117,14 @@ func (d *Division) encodeSpill() ([]byte, spillLayout, error) {
 		if f.ID != i {
 			return nil, lay, fmt.Errorf("face %d has ID %d", i, f.ID)
 		}
-		if f.Signature.Dim() != dim {
-			return nil, lay, fmt.Errorf("face %d signature dim %d, want %d", i, f.Signature.Dim(), dim)
+		if len(f.Signature) != dim {
+			return nil, lay, fmt.Errorf("face %d signature dim %d, want %d", i, len(f.Signature), dim)
 		}
-		var err error
-		if b, err = vector.AppendCodeBytes(b, f.Signature, s.Denom); err != nil {
-			return nil, lay, fmt.Errorf("face %d: %w", i, err)
+		for _, c := range f.Signature {
+			if c < -1 || c > 1 {
+				return nil, lay, fmt.Errorf("face %d: %w %d", i, errCode, c)
+			}
+			b = append(b, byte(c))
 		}
 	}
 	lay.codes = len(b)
@@ -255,8 +256,8 @@ func decodeSpill(b []byte) (*Division, error) {
 	if hv[2] == 0 {
 		return nil, fmt.Errorf("division has no faces")
 	}
-	if hv[4] < 1 || hv[4] > vector.MaxDenom {
-		return nil, fmt.Errorf("quantization denominator %d outside [1, %d]", hv[4], vector.MaxDenom)
+	if hv[4] != 1 {
+		return nil, fmt.Errorf("%w: %d", errDenom, hv[4])
 	}
 	// Each face needs its dim codes plus a minimal record. The first
 	// three tests bound both products by left, so the fourth cannot
@@ -266,17 +267,17 @@ func decodeSpill(b []byte) (*Division, error) {
 		hv[2]*hv[3]+hv[2]*minFaceBytes > left {
 		return nil, fmt.Errorf("%w: %d faces × %d pairs in %d bytes", errSize, hv[2], hv[3], left)
 	}
-	cols, rows, nf, dim, denom := int(hv[0]), int(hv[1]), int(hv[2]), int(hv[3]), int(hv[4])
+	cols, rows, nf, dim := int(hv[0]), int(hv[1]), int(hv[2]), int(hv[3])
 
-	// The codes become the SoA rows as they are checked.
+	// The codes become the SoA rows as they are checked: −1 (0xFF), 0
+	// and +1 are the bytes b with b+1 ≤ 2.
+	raw := rd.take(nf * dim)
 	codes := make([]int8, nf*dim)
-	var seen [256]bool
-	for i, c := range rd.take(nf * dim) {
+	for i, c := range raw {
+		if c+1 > 2 {
+			return nil, fmt.Errorf("%w %d at face %d", errCode, int8(c), i/dim)
+		}
 		codes[i] = int8(c)
-		seen[c] = true
-	}
-	if err := checkCodes(&seen, denom); err != nil {
-		return nil, err
 	}
 
 	// Faces. Each neighbour ID takes at least one byte, so the file's
@@ -362,13 +363,13 @@ func decodeSpill(b []byte) (*Division, error) {
 		}
 	}
 
-	d := &Division{Field: rect, CellSize: cell, Cols: cols, Rows: rows, Faces: faces}
-	s := &SigSoA{NumFaces: nf, Dim: dim, Denom: denom, Rows: codes, Words: (dim + 63) / 64}
-	// The assembly's signature index is the last check; the diffs and the
-	// raster, the sizes the bytes do not bound, are allocated after it.
-	if err := d.assemble(s, nil); err != nil {
+	if err := uniqueRows(raw, nf, dim); err != nil {
 		return nil, err
 	}
+	// The diffs and the raster, the sizes the bytes do not bound, are
+	// allocated once every check has passed.
+	d := &Division{Field: rect, CellSize: cell, Cols: cols, Rows: rows, Faces: faces}
+	d.assemble(&SigSoA{NumFaces: nf, Dim: dim, Rows: codes, Words: (dim + 63) / 64})
 	rd.off = rasterAt // pass 1 parsed these runs: their errors are dropped
 	d.cellFace = make([]int, total)
 	for n := 0; n < total; {
@@ -381,40 +382,21 @@ func decodeSpill(b []byte) (*Division, error) {
 	return d, nil
 }
 
-// checkCodes rejects a code outside ±denom (other than StarCode) and a
-// denominator the codes share a factor with: Divide always picks the
-// smallest denominator, so a reducible one is not canonical. seen[b]
-// records whether the code byte b occurs.
-func checkCodes(seen *[256]bool, denom int) error {
-	g := denom
-	for i, ok := range seen {
-		c := int8(i)
-		if !ok || c == vector.StarCode {
-			continue
+// uniqueRows rejects two faces with the same code row. Lemma 1 makes
+// signatures unique per face, so a duplicate means the file is corrupt
+// (or hand-edited): letting it through would leave two faces the
+// matcher cannot tell apart.
+func uniqueRows(codes []byte, nf, dim int) error {
+	keys := string(codes)
+	seen := make(map[string]int, nf)
+	for f := range nf {
+		key := keys[f*dim : (f+1)*dim]
+		if prev, dup := seen[key]; dup {
+			return fmt.Errorf("faces %d and %d share a signature (corrupt division)", prev, f)
 		}
-		if int(c) < -denom || int(c) > denom {
-			return fmt.Errorf("%w %d for denominator %d", errCode, c, denom)
-		}
-		g = gcd(g, abs(int(c)))
-	}
-	if g != 1 {
-		return fmt.Errorf("quantization denominator %d is reducible by %d", denom, g)
+		seen[key] = f
 	}
 	return nil
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func finite(vs ...float64) bool {

@@ -3,12 +3,12 @@ package field
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"fttt/internal/deploy"
 	"fttt/internal/randx"
-	"fttt/internal/vector"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -34,7 +34,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.Field != orig.Field {
 		t.Fatal("field rect mismatch")
 	}
-	// Spot checks: FaceAt and FaceBySignature behave identically.
+	// Spot checks: FaceAt behaves identically.
 	rng := randx.New(1)
 	for trial := 0; trial < 200; trial++ {
 		p := loaded.CellCenter(rng.Intn(loaded.Cols), rng.Intn(loaded.Rows))
@@ -42,17 +42,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if fo.ID != fl.ID {
 			t.Fatalf("FaceAt(%v) differs: %d vs %d", p, fo.ID, fl.ID)
 		}
-		if !vector.Equal(fo.Signature, fl.Signature) {
+		if !slices.Equal(fo.Signature, fl.Signature) {
 			t.Fatalf("signature differs at %v", p)
 		}
 		if !fo.Centroid.Eq(fl.Centroid) {
 			t.Fatalf("centroid differs at %v", p)
-		}
-	}
-	for _, f := range orig.Faces[:10] {
-		got := loaded.FaceBySignature(f.Signature)
-		if got == nil || got.ID != f.ID {
-			t.Fatalf("FaceBySignature broken for face %d", f.ID)
 		}
 	}
 }
@@ -156,7 +150,7 @@ func TestLoadRejectsDuplicateSignatures(t *testing.T) {
 	}
 	// Forge the corruption through the snapshot path: give face 1 face
 	// 0's signature and reserialize.
-	div.Faces[1].Signature = div.Faces[0].Signature.Clone()
+	div.Faces[1].Signature = slices.Clone(div.Faces[0].Signature)
 	var buf bytes.Buffer
 	if err := div.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -186,10 +180,8 @@ func TestSaveLoadPreservesMatching(t *testing.T) {
 	rng := randx.New(2)
 	for trial := 0; trial < 50; trial++ {
 		p := orig.CellCenter(rng.Intn(orig.Cols), rng.Intn(orig.Rows))
-		sig := orig.FaceAt(p).Signature
-		a := orig.FaceBySignature(sig)
-		b := loaded.FaceBySignature(sig)
-		if a == nil || b == nil || a.ID != b.ID {
+		a, b := orig.FaceAt(p), loaded.FaceAt(p)
+		if a.ID != b.ID || !slices.Equal(a.Signature, b.Signature) {
 			t.Fatal("signature lookup differs after round trip")
 		}
 	}

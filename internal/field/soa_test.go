@@ -4,46 +4,37 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
-	"fttt/internal/geom"
 	"fttt/internal/vector"
 )
 
-// TestSoASignatureEquality is the SoA-vs-AoS property over seeded
-// random deployments: every face's quantized row and column decode to
-// exactly the AoS Face.Signature, the bitplanes agree component by
-// component, and the popcount distance kernel reproduces the float
-// Def. 8 squared distance for ternary queries.
+// TestSoASignatureEquality is the store property over seeded random
+// deployments: every face's Signature is its row of the store (the
+// same memory, not a copy), every code is ternary, and the bitplanes
+// agree component by component.
 func TestSoASignatureEquality(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			div, _ := randomDivision(t, seed, 6, 1.2, 2)
 			s := div.SoA()
-			if s == nil {
-				t.Fatal("ternary division has no SoA store")
-			}
-			if s.Denom != 1 {
-				t.Fatalf("ternary division quantized at denom %d, want 1", s.Denom)
-			}
-			if s.NumFaces != div.NumFaces() || s.Dim != div.Faces[0].Signature.Dim() {
+			if s.NumFaces != div.NumFaces() || s.Dim != len(div.Faces[0].Signature) {
 				t.Fatalf("SoA dims %dx%d, division %dx%d",
-					s.NumFaces, s.Dim, div.NumFaces(), div.Faces[0].Signature.Dim())
+					s.NumFaces, s.Dim, div.NumFaces(), len(div.Faces[0].Signature))
 			}
-			var scratch vector.Vector
 			for f := range div.Faces {
-				aos := div.Faces[f].Signature
-				scratch = s.Signature(scratch[:0], f)
-				if !vector.Equal(scratch, aos) {
-					t.Fatalf("face %d: SoA row decodes to %v, AoS %v", f, scratch, aos)
+				sig := div.Faces[f].Signature
+				if &sig[0] != &s.Rows[f*s.Dim] || len(sig) != s.Dim || cap(sig) != s.Dim {
+					t.Fatalf("face %d: Signature is not a capped view of its store row", f)
 				}
 				pos, neg := s.FacePlanes(f)
-				for k := 0; k < s.Dim; k++ {
-					if got := s.Cols[k*s.NumFaces+f]; got != s.Rows[f*s.Dim+k] {
-						t.Fatalf("face %d comp %d: col code %d != row code %d", f, k, got, s.Rows[f*s.Dim+k])
+				for k, c := range sig {
+					if c < -1 || c > 1 {
+						t.Fatalf("face %d comp %d: code %d is not ternary", f, k, c)
 					}
-					wantPos := aos[k] == vector.Nearer
-					wantNeg := aos[k] == vector.Farther
+					wantPos := c == 1
+					wantNeg := c == -1
 					if gotPos := pos[k/64]&(1<<(k%64)) != 0; gotPos != wantPos {
 						t.Fatalf("face %d comp %d: PosBits %v, want %v", f, k, gotPos, wantPos)
 					}
@@ -116,10 +107,10 @@ func TestSoAPopcountDistance(t *testing.T) {
 			sig := div.Faces[f].Signature
 			var want float64
 			for k := range q {
-				if q[k].IsStar() || sig[k].IsStar() {
+				if q[k].IsStar() {
 					continue
 				}
-				d := float64(q[k] - sig[k])
+				d := float64(q[k]) - float64(sig[k])
 				want += d * d
 			}
 			got := s.popcountDiff(qPos, qNeg, qMask, f)
@@ -148,14 +139,11 @@ func TestSoASurvivesSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := orig.SoA(), loaded.SoA()
-	if a == nil || b == nil {
-		t.Fatalf("SoA store missing: orig=%v loaded=%v", a != nil, b != nil)
-	}
-	if a.NumFaces != b.NumFaces || a.Dim != b.Dim || a.Denom != b.Denom || a.Words != b.Words {
+	if a.NumFaces != b.NumFaces || a.Dim != b.Dim || a.Words != b.Words {
 		t.Fatalf("header mismatch: %+v vs %+v", a, b)
 	}
-	if !bytes.Equal(int8Bytes(a.Cols), int8Bytes(b.Cols)) || !bytes.Equal(int8Bytes(a.Rows), int8Bytes(b.Rows)) {
-		t.Fatal("quantized codes differ after Save/Load")
+	if !slices.Equal(a.Rows, b.Rows) {
+		t.Fatal("codes differ after Save/Load")
 	}
 	for i := range a.PosBits {
 		if a.PosBits[i] != b.PosBits[i] || a.NegBits[i] != b.NegBits[i] {
@@ -164,80 +152,9 @@ func TestSoASurvivesSaveLoad(t *testing.T) {
 	}
 }
 
-func int8Bytes(s []int8) []byte {
-	out := make([]byte, len(s))
-	for i, v := range s {
-		out[i] = byte(v)
-	}
-	return out
-}
-
-// TestSoANilOnUnquantizable pins the fallback contract: a classifier
-// emitting values no int8 denominator represents leaves SoA nil
-// instead of storing a lossy approximation.
-func TestSoANilOnUnquantizable(t *testing.T) {
-	div, err := Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), irrationalClassifier{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if div.SoA() != nil {
-		t.Fatal("unquantizable signatures produced an SoA store")
-	}
-}
-
-// irrationalClassifier emits a value representable by no denominator.
-type irrationalClassifier struct{}
-
-func (irrationalClassifier) NumNodes() int { return 2 }
-func (irrationalClassifier) Classify(p geom.Point, i, j int) vector.Value {
-	return vector.Value(0.123456789)
-}
-
-// TestSoAStarSignatureHasNoPlanes pins the bitplane guard: a signature
-// containing Star still quantizes (Star has a reserved code), but the
-// two-plane ternary form cannot encode its always-zero Def. 8
-// contribution — such a store must carry codes only, no planes.
-func TestSoAStarSignatureHasNoPlanes(t *testing.T) {
-	div, err := Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), starClassifier{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := div.SoA()
-	if s == nil {
-		t.Fatal("star-bearing ternary division has no SoA store")
-	}
-	if s.Denom != 1 {
-		t.Fatalf("denom %d, want 1", s.Denom)
-	}
-	if s.PosBits != nil || s.NegBits != nil {
-		t.Fatal("star-bearing signatures built bitplanes; stored Star would alias 0")
-	}
-	var scratch vector.Vector
-	for f := range div.Faces {
-		scratch = s.Signature(scratch[:0], f)
-		if !vector.Equal(scratch, div.Faces[f].Signature) {
-			t.Fatalf("face %d: SoA row decodes to %v, AoS %v", f, scratch, div.Faces[f].Signature)
-		}
-	}
-}
-
-// starClassifier emits one Star pair amid ternary values.
-type starClassifier struct{}
-
-func (starClassifier) NumNodes() int { return 3 }
-func (starClassifier) Classify(p geom.Point, i, j int) vector.Value {
-	if i == 0 && j == 1 {
-		return vector.Star
-	}
-	if p.X < 5 {
-		return vector.Nearer
-	}
-	return vector.Farther
-}
-
 // TestSoAAdaptiveDivide pins that the double-level AdaptiveDivide path
-// (which ends in the same assembly as Divide and Load) also carries
-// a store, and that every stored row decodes to its face's AoS
+// (which ends in the same assembly as Divide and Load) also carries a
+// store with bitplanes, and that every stored row is its face's
 // signature — face ordering may differ from Divide's, the per-face
 // content may not.
 func TestSoAAdaptiveDivide(t *testing.T) {
@@ -247,14 +164,12 @@ func TestSoAAdaptiveDivide(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := adaptive.SoA()
-	if s == nil {
-		t.Fatal("adaptive division has no SoA store")
+	if len(s.PosBits) != s.NumFaces*s.Words || len(s.NegBits) != s.NumFaces*s.Words {
+		t.Fatalf("adaptive store bitplanes %d/%d words, want %d", len(s.PosBits), len(s.NegBits), s.NumFaces*s.Words)
 	}
-	var scratch vector.Vector
 	for f := range adaptive.Faces {
-		scratch = s.Signature(scratch[:0], f)
-		if !vector.Equal(scratch, adaptive.Faces[f].Signature) {
-			t.Fatalf("face %d: SoA row decodes to %v, AoS %v", f, scratch, adaptive.Faces[f].Signature)
+		if !slices.Equal(s.FaceRow(f), adaptive.Faces[f].Signature) {
+			t.Fatalf("face %d: store row %v, signature %v", f, s.FaceRow(f), adaptive.Faces[f].Signature)
 		}
 	}
 }

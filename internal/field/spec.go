@@ -105,7 +105,7 @@ func (s Spec) Matches(d *Division) error {
 	if len(d.Faces) == 0 {
 		return fmt.Errorf("field: division has no faces")
 	}
-	if got := d.Faces[0].Signature.Dim(); got != want {
+	if got := len(d.Faces[0].Signature); got != want {
 		return fmt.Errorf("field: division signature dimension %d, spec's %d nodes want %d pairs",
 			got, len(s.Nodes), want)
 	}
@@ -113,28 +113,23 @@ func (s Spec) Matches(d *Division) error {
 }
 
 // ApproxBytes estimates the division's resident memory: the raster, the
-// face records with their signatures, neighbor lists and per-link
-// diffs, and the signature index. The estimate feeds the fieldcache
-// bytes gauge; it is deliberately cheap and approximate (slice headers
-// and map overhead are flat constants), not an exact accounting.
+// face records with their neighbor lists and per-link diffs, and the
+// signature store their Signature rows view. The estimate feeds the
+// fieldcache bytes gauge; it is deliberately cheap and approximate
+// (slice headers are flat constants), not an exact accounting.
 func (d *Division) ApproxBytes() int64 {
 	const (
 		ptrSize    = 8
-		faceHeader = 128 // Face struct: ID, centroid, cells, 3 slice headers
-		mapEntry   = 48  // bySig bucket overhead per entry, excluding the key
+		faceHeader = 112 // Face struct: ID, centroid, cells, 4 slice headers
 	)
 	total := int64(len(d.cellFace)) * ptrSize
 	for i := range d.Faces {
 		f := &d.Faces[i]
 		total += faceHeader
-		total += int64(len(f.Signature)) * ptrSize
 		total += int64(len(f.Neighbors)) * ptrSize
 		for _, diff := range f.NeighborDiffs {
 			total += 24 + int64(len(diff))*ptrSize
 		}
-		// bySig: one entry per face, key is the packed signature string.
-		total += mapEntry + int64(len(f.Signature))
 	}
-	total += d.soa.ApproxBytes()
-	return total
+	return total + d.soa.ApproxBytes()
 }

@@ -2,6 +2,7 @@ package field
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"fttt/internal/deploy"
@@ -122,5 +123,28 @@ func TestApproxBytesPositiveAndMonotone(t *testing.T) {
 	if fine.ApproxBytes() <= coarse.ApproxBytes() {
 		t.Errorf("finer division (%d faces) should dominate coarser (%d faces): %d <= %d",
 			fine.NumFaces(), coarse.NumFaces(), fine.ApproxBytes(), coarse.ApproxBytes())
+	}
+
+	// The estimate tracks the live heap: on the 1 m Table-1 division it
+	// lies within 20% of what the division retains after a GC.
+	rc, err := NewRatioClassifier(deploy.Random(fieldRect, 20, randx.New(6)).Positions(), defaultC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	div, err := DivideWorkers(fieldRect, rc, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	est := div.ApproxBytes()
+	runtime.KeepAlive(div)
+	t.Logf("1 m Table-1 division: %d faces, %d bytes live, ApproxBytes %d", div.NumFaces(), live, est)
+	if est < live*8/10 || est > live*12/10 {
+		t.Errorf("ApproxBytes %d is not within 20%% of the %d bytes the division holds live", est, live)
 	}
 }

@@ -16,33 +16,19 @@ import (
 	"fttt/internal/deploy"
 	"fttt/internal/geom"
 	"fttt/internal/randx"
-	"fttt/internal/vector"
 )
 
-// halfClassifier emits halves, so its division quantizes with
-// denominator 2 and its signature keys use Vector.Key's fractional form.
-type halfClassifier struct{}
-
-func (halfClassifier) NumNodes() int { return 3 }
-func (halfClassifier) Classify(p geom.Point, i, j int) vector.Value {
-	switch {
-	case i == 0 && j == 1 && p.X < 5:
-		return 0.5
-	case i == 0 && j == 1:
-		return -1
-	case i == 0 && p.Y < 5:
-		return -0.5
-	case i == 0:
-		return 0
+// oneFaceClassifier puts a field away from its two nodes in one face
+// with no neighbours: with so large a C every cell lies in the pair's
+// uncertain area.
+func oneFaceClassifier(tb testing.TB) *RatioClassifier {
+	tb.Helper()
+	rc, err := NewRatioClassifier([]geom.Point{geom.Pt(30, 40), geom.Pt(70, 55)}, 1e6)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return 1
+	return rc
 }
-
-// constClassifier puts the whole field in one face with no neighbours.
-type constClassifier struct{}
-
-func (constClassifier) NumNodes() int                              { return 2 }
-func (constClassifier) Classify(geom.Point, int, int) vector.Value { return vector.Nearer }
 
 // spillFile encodes div and returns the file with its section layout.
 func spillFile(tb testing.TB, div *Division) ([]byte, spillLayout) {
@@ -80,37 +66,23 @@ func roundTrip(t *testing.T, div *Division) *Division {
 }
 
 // divisionDiff names the first part in which a and b differ, or returns
-// "" when they are deeply equal. Star signature components (NaN) count
-// as equal to each other, which reflect.DeepEqual cannot express.
+// "" when they are deeply equal.
 func divisionDiff(a, b *Division) string {
 	if len(a.Faces) != len(b.Faces) {
 		return fmt.Sprintf("%d faces vs %d", len(a.Faces), len(b.Faces))
 	}
-	strip := func(d *Division) Division {
-		c := *d
-		c.Faces = append([]Face(nil), d.Faces...)
-		for i := range c.Faces {
-			c.Faces[i].Signature = nil
-		}
-		return c
-	}
-	sa, sb := strip(a), strip(b)
 	for i := range a.Faces {
-		if !vector.Equal(a.Faces[i].Signature, b.Faces[i].Signature) {
-			return fmt.Sprintf("face %d signature", i)
-		}
-		if !reflect.DeepEqual(sa.Faces[i], sb.Faces[i]) {
-			return fmt.Sprintf("face %d: %+v vs %+v", i, sa.Faces[i], sb.Faces[i])
+		if !reflect.DeepEqual(a.Faces[i], b.Faces[i]) {
+			return fmt.Sprintf("face %d: %+v vs %+v", i, a.Faces[i], b.Faces[i])
 		}
 	}
 	for _, part := range []struct {
 		name string
 		x, y any
 	}{
-		{"raster", sa.cellFace, sb.cellFace},
-		{"signature index", sa.bySig, sb.bySig},
-		{"SoA store", sa.soa, sb.soa},
-		{"division", sa, sb},
+		{"raster", a.cellFace, b.cellFace},
+		{"SoA store", a.soa, b.soa},
+		{"division", a, b},
 	} {
 		if !reflect.DeepEqual(part.x, part.y) {
 			return part.name
@@ -121,7 +93,7 @@ func divisionDiff(a, b *Division) string {
 
 // TestLoadDeepEqualsDivision is the format's completeness contract: a
 // loaded division is reflect.DeepEqual to the divided one — faces with
-// their neighbour diffs, raster, SoA store and signature index — over
+// their neighbour diffs, raster and SoA store — over
 // seeded random deployments, cell sizes and worker counts, and an
 // adaptive division.
 func TestLoadDeepEqualsDivision(t *testing.T) {
@@ -142,7 +114,7 @@ func TestLoadDeepEqualsDivision(t *testing.T) {
 			t.Fatalf("trial %d: loaded division differs: %s", trial, divisionDiff(orig, loaded))
 		}
 	}
-	single, err := Divide(fieldRect, constClassifier{}, 10)
+	single, err := Divide(fieldRect, oneFaceClassifier(t), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,48 +130,22 @@ func TestLoadDeepEqualsDivision(t *testing.T) {
 	}
 }
 
-// TestLoadEqualsStarAndFractionalDivisions covers the stores without
-// bitplanes: Star-bearing rows (whose neighbour diffs compare rows,
-// counting Star against Star as a difference like NaN != NaN) and a
-// denominator-2 store (whose signature keys are Vector.Key's fractional
-// strings).
-func TestLoadEqualsStarAndFractionalDivisions(t *testing.T) {
-	small := geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
-	for _, tc := range []struct {
-		name  string
-		pc    PairClassifier
-		denom int
-	}{
-		{"star", starClassifier{}, 1},
-		{"half", halfClassifier{}, 2},
-	} {
-		orig, err := Divide(small, tc.pc, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := orig.SoA(); s == nil || s.Denom != tc.denom || s.PosBits != nil {
-			t.Fatalf("%s: fixture store %+v, want denominator %d without bitplanes", tc.name, s, tc.denom)
-		}
-		if diff := divisionDiff(orig, roundTrip(t, orig)); diff != "" {
-			t.Fatalf("%s: loaded division differs: %s", tc.name, diff)
-		}
-	}
-}
-
-// TestSaveRejectsUnrepresentableDivisions pins Save's refusals: no SoA
-// store (signatures no int8 denominator represents), and a raster over
-// the cell cap Load enforces.
+// TestSaveRejectsUnrepresentableDivisions pins Save's refusals: a
+// signature code outside the ternary set, and a raster over the cell
+// cap Load enforces.
 func TestSaveRejectsUnrepresentableDivisions(t *testing.T) {
-	noSoA, err := Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), irrationalClassifier{}, 2)
+	small := geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
+	twoCode, err := Divide(small, oneFaceClassifier(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	huge, err := Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), constClassifier{}, 5)
+	twoCode.Faces[0].Signature = []int8{2}
+	huge, err := Divide(small, oneFaceClassifier(t), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	huge.Cols, huge.Rows = 1<<13, 1<<12 // forged: Save must refuse before reading the raster
-	for name, div := range map[string]*Division{"no SoA store": noSoA, "raster over the cap": huge} {
+	for name, div := range map[string]*Division{"code +2": twoCode, "raster over the cap": huge} {
 		var buf bytes.Buffer
 		if err := div.Save(&buf); err == nil {
 			t.Errorf("%s: saved", name)
@@ -278,6 +224,9 @@ func TestLoadRejectsCorruptBytes(t *testing.T) {
 		{"trailing bytes", reseal(append(append([]byte(nil), body...), 0, 0)), errTrailing},
 		{"illegal code", reseal(set(body, lay.header+1, 2)), errCode},
 		{"code -127", reseal(set(body, lay.header, 0x81)), errCode},
+		{"Star code", reseal(set(body, lay.codes-1, 0x80)), errCode},
+		{"code +2 in the last row", reseal(set(body, lay.codes-2, 2)), errCode},
+		{"header denominator 2", withHeader(full, lay, uint64(div.Cols), uint64(div.Rows), uint64(div.NumFaces()), uint64(div.soa.Dim), 2), errDenom},
 		{"overlong varint", reseal(append(append(append([]byte(nil), body[:spillFixed]...), 0x80|byte(div.Cols), 0x00), body[spillFixed+1:]...)), errVarint},
 		{"face count beyond payload", withHeader(full, lay, uint64(div.Cols), uint64(div.Rows), 1<<40, uint64(div.soa.Dim), 1), errSize},
 		{"signature dim beyond payload", withHeader(full, lay, uint64(div.Cols), uint64(div.Rows), uint64(div.NumFaces()), 1<<50, 1), errSize},
@@ -385,9 +334,10 @@ func TestLoadRejectsStructuralDamage(t *testing.T) {
 	}
 }
 
-// spillSeeds are FuzzLoad's corpus: saved grid, random, Star-bearing
-// and fractional divisions, cuts at every section boundary, and
-// single-bit flips resealed so mutation starts past the CRC.
+// spillSeeds are FuzzLoad's corpus: saved grid, random, one-face and
+// C = 1 (bisector, no Flipped codes) divisions, cuts at every section
+// boundary, and single-bit flips resealed so mutation starts past the
+// CRC.
 func spillSeeds(tb testing.TB) [][]byte {
 	small := geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10))
 	rng := randx.New(3)
@@ -404,8 +354,14 @@ func spillSeeds(tb testing.TB) [][]byte {
 			spec := Spec{Field: fieldRect, Nodes: deploy.Random(fieldRect, 5, rng).Positions(), C: defaultC(), CellSize: 10, Workers: 1}
 			return spec.Divide()
 		},
-		func() (*Division, error) { return Divide(small, starClassifier{}, 2) },
-		func() (*Division, error) { return Divide(small, halfClassifier{}, 2) },
+		func() (*Division, error) { return Divide(small, oneFaceClassifier(tb), 2) },
+		func() (*Division, error) {
+			rc, err := NewRatioClassifier(deploy.Grid(fieldRect, 9).Positions(), 1)
+			if err != nil {
+				return nil, err
+			}
+			return Divide(fieldRect, rc, 10)
+		},
 	} {
 		d, err := build()
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Batch scores many sampling vectors per pass against the division's
-// quantized structure-of-arrays signature store (field.SigSoA) and is
+// structure-of-arrays signature store (field.SigSoA) and is
 // proven byte-identical to running the serial matchers lane by lane:
 // every lane reproduces Heuristic.Match (or Exhaustive.Match with
 // Exhaustive set) bit for bit — same face, same similarity, same
@@ -31,8 +31,7 @@ import (
 // serial operation order verbatim — no speedup, same bits.
 //
 // Like Heuristic, a Batch owns reusable scratch and is single-goroutine;
-// the Division (and its SoA store) is immutable and may be shared. Div
-// must not be reassigned after the first MatchBatch call.
+// the Division (and its SoA store) is immutable and may be shared.
 type Batch struct {
 	Div *field.Division
 	// Patience, Incremental, Fallback, FallbackBelow mirror Heuristic's
@@ -45,13 +44,6 @@ type Batch struct {
 	// Exhaustive selects per-lane Exhaustive.Match semantics (full face
 	// scan with tie averaging) instead of the Algorithm 2 search.
 	Exhaustive bool
-
-	// soa caches Div.SoA(); nil after the first call means the division
-	// has no quantized store and every lane defers to the serial AoS
-	// matchers (identical by definition).
-	soa      *field.SigSoA
-	soaReady bool
-	serial   *Heuristic
 
 	// Per-lane heuristic search scratch, exactly Heuristic's shape.
 	seen     []uint32
@@ -74,10 +66,6 @@ type Batch struct {
 // mode; exhaustive tie averaging allocates like the serial matcher
 // does).
 func (b *Batch) MatchBatch(dst []Result, vs []vector.Vector, prevs []*field.Face) []Result {
-	if !b.soaReady {
-		b.soa = b.Div.SoA()
-		b.soaReady = true
-	}
 	for i := range vs {
 		var prev *field.Face
 		if prevs != nil {
@@ -90,20 +78,6 @@ func (b *Batch) MatchBatch(dst []Result, vs []vector.Vector, prevs []*field.Face
 
 // matchOne scores a single lane.
 func (b *Batch) matchOne(v vector.Vector, prev *field.Face) Result {
-	if b.soa == nil {
-		// No quantized store (exotic classifier values): the serial
-		// matchers are the batch semantics.
-		if b.Exhaustive {
-			return (&Exhaustive{Div: b.Div}).Match(v, prev)
-		}
-		if b.serial == nil {
-			b.serial = &Heuristic{
-				Div: b.Div, Patience: b.Patience, Incremental: b.Incremental,
-				Fallback: b.Fallback, FallbackBelow: b.FallbackBelow,
-			}
-		}
-		return b.serial.Match(v, prev)
-	}
 	ternary := b.prepTernary(v)
 	if b.Exhaustive {
 		return b.matchExhaustive(v, ternary)
@@ -112,15 +86,10 @@ func (b *Batch) matchOne(v vector.Vector, prev *field.Face) Result {
 }
 
 // prepTernary classifies the lane: when every component is ternary or
-// Star and the store carries bitplanes, it fills the query bitplanes
-// and selects the integer kernel. Fractional components (Def. 10) or a
-// bitplane-less store select the float kernel.
+// Star, it fills the query bitplanes and selects the integer kernel.
+// Fractional components (Def. 10) select the float kernel.
 func (b *Batch) prepTernary(v vector.Vector) bool {
-	soa := b.soa
-	if soa.PosBits == nil {
-		return false
-	}
-	words := soa.Words
+	words := b.Div.SoA().Words
 	if cap(b.qPos) < words {
 		b.qPos = make([]uint64, words)
 		b.qNeg = make([]uint64, words)
@@ -160,12 +129,12 @@ func (b *Batch) prepTernary(v vector.Vector) bool {
 }
 
 // intD2 is the bitplane kernel: the squared modified distance of the
-// prepared ternary query against face f. Components where either side
-// is Star (or outside the query mask) contribute 0; a +1/−1 sign flip
+// prepared ternary query against face f. Components where the query is
+// Star (outside the query mask) contribute 0; a +1/−1 sign flip
 // contributes 4; a one-sided zero contributes 1. The result is an
 // integer, and equals the serial float64 accumulation bit for bit.
 func (b *Batch) intD2(f int) float64 {
-	soa := b.soa
+	soa := b.Div.SoA()
 	base := f * soa.Words
 	pos := soa.PosBits[base : base+soa.Words]
 	neg := soa.NegBits[base : base+soa.Words]
@@ -183,35 +152,14 @@ func (b *Batch) intD2(f int) float64 {
 	return float64(4*c4 + c1)
 }
 
-// sigVal decodes component k of face f's stored signature — bitwise
-// equal to the AoS Face.Signature value (the codec is lossless).
-func (b *Batch) sigVal(f, k int) vector.Value {
-	return vector.Dequantize(b.soa.Rows[f*b.soa.Dim+k], b.soa.Denom)
-}
-
-// floatD2 is the float kernel: the serial dist2 loop (ascending pair
-// order, Star components skipped, one float64 accumulator) reading the
-// quantized store. Used for fractional-query lanes, where bitwise
-// identity requires replaying the serial operation order exactly.
-func (b *Batch) floatD2(v vector.Vector, f int) float64 {
-	var sum float64
-	for k := range v {
-		sv := b.sigVal(f, k)
-		if v[k].IsStar() || sv.IsStar() {
-			continue
-		}
-		d := float64(v[k] - sv)
-		sum += d * d
-	}
-	return sum
-}
-
-// laneD2 dispatches the full-distance computation for the lane's kernel.
+// laneD2 dispatches the full-distance computation for the lane's
+// kernel: the bitplanes, or for fractional-query lanes the serial dist2
+// loop, whose operation order bitwise identity requires.
 func (b *Batch) laneD2(v vector.Vector, f int, ternary bool) float64 {
 	if ternary {
 		return b.intD2(f)
 	}
-	return b.floatD2(v, f)
+	return dist2(v, b.Div.Faces[f].Signature)
 }
 
 // matchHeuristic replays Heuristic.Match over the SoA store: identical
@@ -279,7 +227,7 @@ func (b *Batch) matchHeuristic(v vector.Vector, prev *field.Face, ternary bool) 
 // patience, same seen marks — so results stay bitwise serial-identical.
 func (b *Batch) searchTernary(start *field.Face, patience int, epoch uint32) (best faceEntry, visited, rounds int) {
 	div := b.Div
-	soa := b.soa
+	soa := div.SoA()
 	words := soa.Words
 	posAll, negAll := soa.PosBits, soa.NegBits
 	qp := b.qPos[:words]
@@ -341,14 +289,14 @@ func (b *Batch) searchTernary(start *field.Face, patience int, epoch uint32) (be
 }
 
 // searchFloat is the frontier loop for fractional (Def. 10) query lanes:
-// it replays the serial operation order verbatim — full-store distance
-// for cold evaluations, the incremental per-link patch (with its clamp
+// it replays the serial operation order verbatim — full distance for
+// cold evaluations, the incremental per-link patch (with its clamp
 // of rounding noise below zero) when enabled — so float lanes agree with
 // the serial matcher bit for bit.
 func (b *Batch) searchFloat(v vector.Vector, start *field.Face, patience int, epoch uint32) (best faceEntry, visited, rounds int) {
 	div := b.Div
 	h := b.frontier[:0]
-	h = h.push(faceEntry{d2: b.floatD2(v, start.ID), id: start.ID})
+	h = h.push(faceEntry{d2: dist2(v, start.Signature), id: start.ID})
 	best = h[0]
 	visited = 1
 	stall := 0
@@ -374,16 +322,17 @@ func (b *Batch) searchFloat(v vector.Vector, start *field.Face, patience int, ep
 			visited++
 			var d2 float64
 			if b.Incremental && face.NeighborDiffs != nil {
-				// The serial per-link patch, replayed with store reads.
+				// The serial per-link patch, replayed.
 				d2 = e.d2
+				nbSig := div.Faces[nb].Signature
 				for _, k := range face.NeighborDiffs[ni] {
-					d2 += term(v[k], b.sigVal(nb, k)) - term(v[k], b.sigVal(e.id, k))
+					d2 += term(v[k], nbSig[k]) - term(v[k], face.Signature[k])
 				}
 				if d2 < 0 { // guard against rounding just below zero
 					d2 = 0
 				}
 			} else {
-				d2 = b.floatD2(v, nb)
+				d2 = dist2(v, div.Faces[nb].Signature)
 			}
 			h = h.push(faceEntry{d2: d2, id: nb})
 		}

@@ -68,7 +68,7 @@ func batchProbes(t *testing.T, div *field.Division, nodes []geom.Point, seed uin
 		default:
 			// An exact face signature, sometimes star-punched: exercises
 			// exact matches (d² == 0) and the early-exit path.
-			vs[i] = div.Faces[i%div.NumFaces()].Signature.Clone()
+			vs[i] = vec(div.Faces[i%div.NumFaces()].Signature)
 			if i%4 == 3 {
 				vs[i][i%len(vs[i])] = vector.Star
 			}
@@ -156,83 +156,6 @@ func TestMatchBatchEquivalentFallback(t *testing.T) {
 	if fellBack == 0 {
 		t.Fatal("no lane fell back under the 1e9 threshold; rescan path untested")
 	}
-}
-
-// TestMatchBatchNoSoAFallsBackToSerial pins the AoS escape hatch: a
-// division without a quantized store still batch-matches, via the
-// serial matchers.
-func TestMatchBatchNoSoAFallsBackToSerial(t *testing.T) {
-	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), fracClassifier{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if div.SoA() != nil {
-		t.Fatal("expected an unquantizable division")
-	}
-	v := vector.Vector{0.25}
-	serial := &Heuristic{Div: div}
-	want := serial.Match(v, nil)
-	b := &Batch{Div: div}
-	got := b.MatchBatch(nil, []vector.Vector{v}, nil)
-	requireIdenticalResult(t, "aos-fallback", want, got[0])
-}
-
-// fracClassifier emits a value no int8 denominator represents, so the
-// division carries no SoA store.
-type fracClassifier struct{}
-
-func (fracClassifier) NumNodes() int { return 2 }
-func (fracClassifier) Classify(p geom.Point, i, j int) vector.Value {
-	return vector.Value(0.123456789)
-}
-
-// TestMatchBatchStarSignatureFloatPath covers divisions whose signatures
-// contain Star: the store carries no bitplanes (a stored Star would
-// alias 0 in the integer kernel), so every lane — even pure-ternary
-// queries — must take the float kernel and still agree with the serial
-// matchers bit for bit.
-func TestMatchBatchStarSignatureFloatPath(t *testing.T) {
-	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), starSigClassifier{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := div.SoA(); s == nil || s.PosBits != nil {
-		t.Fatalf("want a plane-less SoA store, got %+v", s)
-	}
-	vs := []vector.Vector{
-		{vector.Nearer, vector.Farther, vector.Flipped},
-		{vector.Star, vector.Nearer, vector.Nearer},
-		{vector.Farther, vector.Star, vector.Flipped},
-	}
-	prevs := []*field.Face{nil, &div.Faces[0], nil}
-	for _, exhaustive := range []bool{false, true} {
-		b := &Batch{Div: div, Incremental: true, Exhaustive: exhaustive}
-		got := b.MatchBatch(nil, vs, prevs)
-		for i := range vs {
-			var want Result
-			if exhaustive {
-				want = (&Exhaustive{Div: div}).Match(vs[i], prevs[i])
-			} else {
-				want = (&Heuristic{Div: div, Incremental: true}).Match(vs[i], prevs[i])
-			}
-			requireIdenticalResult(t, fmt.Sprintf("exhaustive=%v lane=%d", exhaustive, i), want, got[i])
-		}
-	}
-}
-
-// starSigClassifier emits one Star pair amid position-dependent ternary
-// values (3 nodes → 3 pairs).
-type starSigClassifier struct{}
-
-func (starSigClassifier) NumNodes() int { return 3 }
-func (starSigClassifier) Classify(p geom.Point, i, j int) vector.Value {
-	if i == 0 && j == 1 {
-		return vector.Star
-	}
-	if p.X < 5 {
-		return vector.Nearer
-	}
-	return vector.Farther
 }
 
 // gridNodes returns the node positions buildDivision used.

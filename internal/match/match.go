@@ -65,7 +65,7 @@ func (m *Exhaustive) Match(v vector.Vector, _ *field.Face) Result {
 	var ties []*field.Face
 	for i := range m.Div.Faces {
 		f := &m.Div.Faces[i]
-		s := vector.Similarity(v, f.Signature)
+		s := simOf(dist2(v, f.Signature))
 		switch {
 		case s > best:
 			best = s
@@ -171,25 +171,27 @@ func (h faceHeap) pop() (faceHeap, faceEntry) {
 	return h, top
 }
 
-// dist2 is the squared modified distance of Def. 8 (stars contribute 0).
-func dist2(v, sig vector.Vector) float64 {
+// dist2 is the squared modified distance of Def. 8 between v and a
+// face's signature codes (query stars contribute 0).
+func dist2(v vector.Vector, sig []int8) float64 {
 	var sum float64
-	for k := range v {
-		if v[k].IsStar() || sig[k].IsStar() {
+	v = v[:len(sig)]
+	for k, c := range sig {
+		if v[k].IsStar() {
 			continue
 		}
-		d := float64(v[k] - sig[k])
+		d := float64(v[k]) - float64(c)
 		sum += d * d
 	}
 	return sum
 }
 
 // term is one component's contribution to dist2.
-func term(a, b vector.Value) float64 {
-	if a.IsStar() || b.IsStar() {
+func term(a vector.Value, c int8) float64 {
+	if a.IsStar() {
 		return 0
 	}
-	d := float64(a - b)
+	d := float64(a) - float64(c)
 	return d * d
 }
 
@@ -310,7 +312,7 @@ func (m *WeightedTopM) Match(v vector.Vector, _ *field.Face) Result {
 	best := math.Inf(-1)
 	ties := 0
 	for i := range m.Div.Faces {
-		s := vector.Similarity(v, m.Div.Faces[i].Signature)
+		s := simOf(dist2(v, m.Div.Faces[i].Signature))
 		switch {
 		case s > best:
 			best, ties = s, 1

@@ -16,6 +16,9 @@ import (
 
 var fieldRect = geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 
+// vec is the signature vector of a face's code row.
+func vec(row []int8) vector.Vector { return vector.AppendCodes(nil, row) }
+
 func buildDivision(t testing.TB, n int, cell float64) *field.Division {
 	t.Helper()
 	div, _ := buildDivisionClassifier(t, n, cell)
@@ -41,7 +44,7 @@ func TestExhaustiveFindsExactSignature(t *testing.T) {
 	div := buildDivision(t, 4, 2)
 	m := &Exhaustive{Div: div}
 	for _, f := range div.Faces[:minInt(20, len(div.Faces))] {
-		r := m.Match(f.Signature, nil)
+		r := m.Match(vec(f.Signature), nil)
 		if !math.IsInf(r.Similarity, 1) {
 			t.Fatalf("face %d: exact signature similarity = %v, want +Inf", f.ID, r.Similarity)
 		}
@@ -54,7 +57,7 @@ func TestExhaustiveFindsExactSignature(t *testing.T) {
 func TestExhaustiveVisitsAll(t *testing.T) {
 	div := buildDivision(t, 4, 2)
 	m := &Exhaustive{Div: div}
-	r := m.Match(div.Faces[0].Signature, nil)
+	r := m.Match(vec(div.Faces[0].Signature), nil)
 	if r.Visited != div.NumFaces() {
 		t.Errorf("Visited = %d, want %d", r.Visited, div.NumFaces())
 	}
@@ -66,7 +69,7 @@ func TestExhaustiveNearestForPerturbed(t *testing.T) {
 	div := buildDivision(t, 4, 2)
 	m := &Exhaustive{Div: div}
 	f := &div.Faces[div.NumFaces()/2]
-	v := f.Signature.Clone()
+	v := vec(f.Signature)
 	// Flip a certain component to uncertain (distance 1 from original).
 	flipped := false
 	for k := range v {
@@ -111,7 +114,7 @@ func TestHeuristicConvergesToExhaustiveNearPrev(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
 		f := div.FaceAt(p)
-		r := h.Match(f.Signature, f)
+		r := h.Match(vec(f.Signature), f)
 		if !math.IsInf(r.Similarity, 1) {
 			t.Fatalf("warm start at exact face should match exactly, got sim %v", r.Similarity)
 		}
@@ -130,8 +133,8 @@ func TestHeuristicVisitsFewerThanExhaustive(t *testing.T) {
 		// Probe with the face's own signature warm-started nearby.
 		q := geom.Pt(p.X+3, p.Y)
 		prev := div.FaceAt(fieldRect.Clamp(q))
-		sumEx += ex.Match(f.Signature, nil).Visited
-		sumH += h.Match(f.Signature, prev).Visited
+		sumEx += ex.Match(vec(f.Signature), nil).Visited
+		sumH += h.Match(vec(f.Signature), prev).Visited
 	}
 	if sumH >= sumEx {
 		t.Errorf("heuristic visited %d ≥ exhaustive %d", sumH, sumEx)
@@ -141,7 +144,7 @@ func TestHeuristicVisitsFewerThanExhaustive(t *testing.T) {
 func TestHeuristicColdStart(t *testing.T) {
 	div := buildDivision(t, 4, 2)
 	h := &Heuristic{Div: div}
-	r := h.Match(div.Faces[0].Signature, nil)
+	r := h.Match(vec(div.Faces[0].Signature), nil)
 	if r.Face == nil {
 		t.Fatal("nil face")
 	}
@@ -160,7 +163,7 @@ func TestHeuristicFallback(t *testing.T) {
 	rng := randx.New(3)
 	for trial := 0; trial < 30; trial++ {
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
-		v := div.FaceAt(p).Signature
+		v := vec(div.FaceAt(p).Signature)
 		want := ex.Match(v, nil)
 		got := fb.Match(v, nil)
 		if got.Similarity != want.Similarity {
@@ -181,7 +184,7 @@ func TestHeuristicEstimateInsideField(t *testing.T) {
 	rng := randx.New(4)
 	for trial := 0; trial < 50; trial++ {
 		p := geom.Pt(rng.Uniform(0, 100), rng.Uniform(0, 100))
-		r := h.Match(div.FaceAt(p).Signature, nil)
+		r := h.Match(vec(div.FaceAt(p).Signature), nil)
 		if !fieldRect.Contains(r.Estimate) {
 			t.Fatalf("estimate %v outside field", r.Estimate)
 		}
@@ -200,7 +203,7 @@ func TestMatchersAgreeOnExactSignatures(t *testing.T) {
 			continue
 		}
 		prev := &div.Faces[f.Neighbors[0]]
-		r := h.Match(f.Signature, prev)
+		r := h.Match(vec(f.Signature), prev)
 		if !math.IsInf(r.Similarity, 1) {
 			// A one-step climb can stall on plateaus; allow distance 1.
 			if r.Similarity < 1 {
@@ -217,7 +220,7 @@ func TestWeightedTopMOneEqualsExhaustive(t *testing.T) {
 	rng := randx.New(7)
 	for trial := 0; trial < 40; trial++ {
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
-		v := div.FaceAt(p).Signature
+		v := vec(div.FaceAt(p).Signature)
 		re := ex.Match(v, nil)
 		rw := w1.Match(v, nil)
 		if re.Face.ID != rw.Face.ID && re.Tied == 1 {
@@ -230,7 +233,7 @@ func TestWeightedTopMExactMatchAveragesOnlyExact(t *testing.T) {
 	div := buildDivision(t, 4, 2)
 	w := &WeightedTopM{Div: div, M: 5}
 	f := &div.Faces[div.NumFaces()/3]
-	r := w.Match(f.Signature, nil)
+	r := w.Match(vec(f.Signature), nil)
 	if !math.IsInf(r.Similarity, 1) {
 		t.Fatalf("exact signature should match with +Inf, got %v", r.Similarity)
 	}
@@ -247,7 +250,7 @@ func TestWeightedTopMEstimateInField(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		// Perturbed vector: flip a few components.
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
-		v := div.FaceAt(p).Signature.Clone()
+		v := vec(div.FaceAt(p).Signature)
 		for j := 0; j < 3; j++ {
 			v[rng.Intn(len(v))] = vector.Flipped
 		}
@@ -261,7 +264,7 @@ func TestWeightedTopMEstimateInField(t *testing.T) {
 func TestWeightedTopMDefaultsM(t *testing.T) {
 	div := buildDivision(t, 4, 2)
 	w := &WeightedTopM{Div: div} // M unset → 1
-	r := w.Match(div.Faces[0].Signature, nil)
+	r := w.Match(vec(div.Faces[0].Signature), nil)
 	if r.Face == nil {
 		t.Fatal("nil face")
 	}
@@ -279,7 +282,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		// Noisy probe vectors, including stars.
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
-		v := div.FaceAt(p).Signature.Clone()
+		v := vec(div.FaceAt(p).Signature)
 		for j := 0; j < 4; j++ {
 			k := rng.Intn(len(v))
 			switch rng.Intn(3) {
@@ -297,8 +300,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		if rf.Face.ID != ri.Face.ID {
 			// Heap ties can break differently under float drift; accept
 			// equal-distance winners.
-			df := vector.Distance(v, rf.Face.Signature)
-			di := vector.Distance(v, ri.Face.Signature)
+			df := vector.Distance(v, vec(rf.Face.Signature))
+			di := vector.Distance(v, vec(ri.Face.Signature))
 			if math.Abs(df-di) > 1e-9 {
 				t.Fatalf("trial %d: incremental face %d (d=%v) != full %d (d=%v)",
 					trial, ri.Face.ID, di, rf.Face.ID, df)
@@ -316,7 +319,7 @@ func TestIncrementalExactMatch(t *testing.T) {
 			continue
 		}
 		prev := &div.Faces[f.Neighbors[0]]
-		r := inc.Match(f.Signature, prev)
+		r := inc.Match(vec(f.Signature), prev)
 		if r.Similarity < 1 {
 			t.Errorf("face %d from neighbor: similarity %v too low", f.ID, r.Similarity)
 		}
@@ -369,7 +372,7 @@ func benchHeuristic(b *testing.B, incremental bool) {
 	}
 	h := &Heuristic{Div: div, Incremental: incremental}
 	rng := randx.New(5)
-	v := div.FaceAt(geom.Pt(47, 53)).Signature.Clone()
+	v := vec(div.FaceAt(geom.Pt(47, 53)).Signature)
 	for j := 0; j < 10; j++ {
 		v[rng.Intn(len(v))] = vector.Flipped
 	}

@@ -24,31 +24,32 @@ import (
 // kernel exploits, so weighted batch lanes always take a float path
 // that replays the serial operation order verbatim (ascending pair
 // order, Star skip, the incremental per-link patch with its clamp of
-// rounding noise below zero) reading the lossless quantized store —
-// which is why MatchBatchWeighted stays byte-identical to the serial
+// rounding noise below zero) over the same signature codes — which is
+// why MatchBatchWeighted stays byte-identical to the serial
 // MatchWeighted under ANY trust vector, the §15 differential contract.
 
 // dist2w is the trust-weighted squared modified distance. The iteration
 // order and Star handling are exactly dist2's; each component term is
 // scaled by w[k] before accumulation.
-func dist2w(v, sig vector.Vector, w []float64) float64 {
+func dist2w(v vector.Vector, sig []int8, w []float64) float64 {
 	var sum float64
-	for k := range v {
-		if v[k].IsStar() || sig[k].IsStar() {
+	v, w = v[:len(sig)], w[:len(sig)]
+	for k, c := range sig {
+		if v[k].IsStar() {
 			continue
 		}
-		d := float64(v[k] - sig[k])
+		d := float64(v[k]) - float64(c)
 		sum += w[k] * (d * d)
 	}
 	return sum
 }
 
 // termw is one component's contribution to dist2w.
-func termw(a, b vector.Value, wk float64) float64 {
-	if a.IsStar() || b.IsStar() {
+func termw(a vector.Value, c int8, wk float64) float64 {
+	if a.IsStar() {
 		return 0
 	}
-	d := float64(a - b)
+	d := float64(a) - float64(c)
 	return wk * (d * d)
 }
 
@@ -178,14 +179,10 @@ func (m *Heuristic) MatchWeighted(v vector.Vector, prev *field.Face, w []float64
 // MatchBatchWeighted is MatchBatch with one trust weight vector per
 // lane (ws itself, or any lane, may be nil — those lanes run the
 // unweighted kernels). Weighted lanes score on a float path that
-// replays the serial MatchWeighted operation order over the lossless
-// quantized store, so every lane is byte-identical to the serial
+// replays the serial MatchWeighted operation order over the same
+// signature codes, so every lane is byte-identical to the serial
 // weighted matcher for any trust vector.
 func (b *Batch) MatchBatchWeighted(dst []Result, vs []vector.Vector, prevs []*field.Face, ws [][]float64) []Result {
-	if !b.soaReady {
-		b.soa = b.Div.SoA()
-		b.soaReady = true
-	}
 	for i := range vs {
 		var prev *field.Face
 		if prevs != nil {
@@ -206,40 +203,10 @@ func (b *Batch) MatchBatchWeighted(dst []Result, vs []vector.Vector, prevs []*fi
 
 // matchOneWeighted scores a single weighted lane.
 func (b *Batch) matchOneWeighted(v vector.Vector, prev *field.Face, w []float64) Result {
-	if b.soa == nil {
-		// No quantized store: the serial weighted matchers are the batch
-		// semantics, exactly as matchOne defers for unweighted lanes.
-		if b.Exhaustive {
-			return (&Exhaustive{Div: b.Div}).MatchWeighted(v, prev, w)
-		}
-		if b.serial == nil {
-			b.serial = &Heuristic{
-				Div: b.Div, Patience: b.Patience, Incremental: b.Incremental,
-				Fallback: b.Fallback, FallbackBelow: b.FallbackBelow,
-			}
-		}
-		return b.serial.MatchWeighted(v, prev, w)
-	}
 	if b.Exhaustive {
 		return b.matchExhaustiveWeighted(v, w)
 	}
 	return b.matchHeuristicWeighted(v, prev, w)
-}
-
-// floatD2W is dist2w replayed over the quantized store: same ascending
-// order, same Star skips, reading bitwise-equal dequantized signature
-// values.
-func (b *Batch) floatD2W(v vector.Vector, f int, w []float64) float64 {
-	var sum float64
-	for k := range v {
-		sv := b.sigVal(f, k)
-		if v[k].IsStar() || sv.IsStar() {
-			continue
-		}
-		d := float64(v[k] - sv)
-		sum += w[k] * (d * d)
-	}
-	return sum
 }
 
 // matchHeuristicWeighted replays Heuristic.MatchWeighted over the SoA
@@ -270,7 +237,7 @@ func (b *Batch) matchHeuristicWeighted(v vector.Vector, prev *field.Face, w []fl
 	b.seen[start.ID] = epoch
 
 	h := b.frontier[:0]
-	h = h.push(faceEntry{d2: b.floatD2W(v, start.ID, w), id: start.ID})
+	h = h.push(faceEntry{d2: dist2w(v, start.Signature, w), id: start.ID})
 	best := h[0]
 	visited := 1
 	rounds := 0
@@ -297,16 +264,17 @@ func (b *Batch) matchHeuristicWeighted(v vector.Vector, prev *field.Face, w []fl
 			visited++
 			var d2 float64
 			if b.Incremental && face.NeighborDiffs != nil {
-				// The serial weighted per-link patch, with store reads.
+				// The serial weighted per-link patch, replayed.
 				d2 = e.d2
+				nbSig := div.Faces[nb].Signature
 				for _, k := range face.NeighborDiffs[ni] {
-					d2 += termw(v[k], b.sigVal(nb, k), w[k]) - termw(v[k], b.sigVal(e.id, k), w[k])
+					d2 += termw(v[k], nbSig[k], w[k]) - termw(v[k], face.Signature[k], w[k])
 				}
 				if d2 < 0 { // guard against rounding just below zero
 					d2 = 0
 				}
 			} else {
-				d2 = b.floatD2W(v, nb, w)
+				d2 = dist2w(v, div.Faces[nb].Signature, w)
 			}
 			h = h.push(faceEntry{d2: d2, id: nb})
 		}
@@ -332,7 +300,7 @@ func (b *Batch) matchExhaustiveWeighted(v vector.Vector, w []float64) Result {
 	var winner *field.Face
 	ties := b.ties[:0]
 	for i := range div.Faces {
-		s := simOf(b.floatD2W(v, i, w))
+		s := simOf(dist2w(v, div.Faces[i].Signature, w))
 		switch {
 		case s > best:
 			best = s

@@ -168,19 +168,3 @@ func TestMatchWeightedFallbackEquivalent(t *testing.T) {
 		t.Fatal("no lane fell back under the 1e9 threshold; weighted rescan untested")
 	}
 }
-
-// TestMatchWeightedNoSoAFallsBackToSerial pins the AoS escape hatch for
-// weighted lanes.
-func TestMatchWeightedNoSoAFallsBackToSerial(t *testing.T) {
-	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), fracClassifier{}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vector.Vector{0.25}
-	w := []float64{0.4}
-	serial := &Heuristic{Div: div}
-	want := serial.MatchWeighted(v, nil, w)
-	b := &Batch{Div: div}
-	got := b.MatchBatchWeighted(nil, []vector.Vector{v}, nil, [][]float64{w})
-	requireIdenticalResult(t, "aos-weighted-fallback", want, got[0])
-}

@@ -323,9 +323,6 @@ func setupHeuristicMatchBatch64(sc Scenario) (*instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if div.SoA() == nil {
-		return nil, fmt.Errorf("perfbench: paper division carries no SoA signature store")
-	}
 	s := paperSampler(cfg)
 	rng := randx.New(sc.Seed)
 	const lanes = 64

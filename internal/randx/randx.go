@@ -33,12 +33,18 @@ type Stream struct {
 // New returns a stream rooted at seed. Its draws equal those of
 // rand.New(rand.NewSource(int64(mix(seed)))).
 func New(seed uint64) *Stream {
-	s := &Stream{seed: seed}
+	s := new(Stream)
+	s.reset(seed)
+	return s
+}
+
+// reset re-roots s at seed, as if it were New(seed).
+func (s *Stream) reset(seed uint64) {
+	s.seed = seed
 	s.src.Seed(int64(mix(seed)))
 	// rand.New inlines, so the *Rand it returns stays on the stack and
 	// the copy into s is the only place it lives.
 	s.rng = *rand.New(&s.src)
-	return s
 }
 
 // Seed returns the seed this stream was created with.
@@ -55,7 +61,19 @@ func (s *Stream) Split(label string) *Stream {
 // index, e.g. one stream per sensor node. Its seed is derived from the
 // seed Split(label) would use, without building that stream.
 func (s *Stream) SplitN(label string, n int) *Stream {
-	return New(mix(labelSeed(s.seed, label) ^ mix(uint64(n)+0x632be59bd9b4e019)))
+	return s.SplitNInto(nil, label, n)
+}
+
+// SplitNInto is SplitN re-rooting dst in place when it is non-nil, so a
+// loop over indices can reuse one child stream's storage. The returned
+// stream draws exactly what SplitN(label, n) would.
+func (s *Stream) SplitNInto(dst *Stream, label string, n int) *Stream {
+	seed := mix(labelSeed(s.seed, label) ^ mix(uint64(n)+0x632be59bd9b4e019))
+	if dst == nil {
+		return New(seed)
+	}
+	dst.reset(seed)
+	return dst
 }
 
 // labelSeed is the seed of the child stream Split(label) derives from a

@@ -14,6 +14,24 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+func TestSplitNIntoMatchesSplitN(t *testing.T) {
+	parent := New(5)
+	var dst *Stream
+	for n := 0; n < 4; n++ {
+		want := parent.SplitN("node", n)
+		got := parent.SplitNInto(dst, "node", n)
+		if dst != nil && got != dst {
+			t.Fatalf("n=%d: SplitNInto did not reuse its destination", n)
+		}
+		dst = got
+		for i := 0; i < 300; i++ { // past the lazy source's hand-off
+			if a, b := got.Float64(), want.Float64(); a != b {
+				t.Fatalf("n=%d draw %d: %v vs %v", n, i, a, b)
+			}
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

@@ -120,19 +120,30 @@ type SampleFaults interface {
 // count changes do not perturb other nodes' draws; the loss process uses
 // a separate substream.
 func (s *Sampler) Sample(pos geom.Point, k int, rng *randx.Stream) *Group {
+	return s.SampleInto(nil, pos, k, rng)
+}
+
+// SampleInto is Sample drawn into g's storage when g is non-nil and has
+// the same shape (a caller's per-round scratch: every field is
+// overwritten), and returns the group.
+func (s *Sampler) SampleInto(g *Group, pos geom.Point, k int, rng *randx.Stream) *Group {
 	if k <= 0 {
 		panic(fmt.Sprintf("sampling: non-positive sampling times k=%d", k))
 	}
 	n := len(s.Nodes)
-	g := &Group{
-		RSS:      make([][]float64, k),
-		Reported: make([]bool, n),
-		Epsilon:  s.Epsilon,
+	if g == nil || g.K() != k || g.N() != n || len(g.Reported) != n {
+		g = &Group{RSS: make([][]float64, k), Reported: make([]bool, n)}
+		for t := range g.RSS {
+			g.RSS[t] = make([]float64, n)
+		}
+	} else {
+		for _, row := range g.RSS {
+			clear(row)
+		}
 	}
-	for t := range g.RSS {
-		g.RSS[t] = make([]float64, n)
-	}
+	g.Epsilon = s.Epsilon
 	loss := rng.Split("loss")
+	var nodeRng *randx.Stream // one child stream, re-rooted per node
 	for i, np := range s.Nodes {
 		inRange := s.Range <= 0 || np.Dist(pos) <= s.Range
 		g.Reported[i] = inRange && !loss.Bernoulli(s.ReportLoss)
@@ -143,7 +154,7 @@ func (s *Sampler) Sample(pos geom.Point, k int, rng *randx.Stream) *Group {
 		if !g.Reported[i] {
 			continue
 		}
-		nodeRng := rng.SplitN("node-noise", i)
+		nodeRng = rng.SplitNInto(nodeRng, "node-noise", i)
 		d := np.Dist(pos)
 		// Shadowing is constant within the group's short Δt window; only
 		// the fast component varies per instant (rf.Model.FastFraction).
@@ -200,9 +211,13 @@ func (g *Group) PairCounts(i, j int) (wins, losses, undistinguishable int) {
 //   - only i reported:    +1 (silent nodes sense less than reporting ones);
 //   - only j reported:    -1;
 //   - neither reported:    * (Star).
-func (g *Group) Vector() vector.Vector {
+func (g *Group) Vector() vector.Vector { return g.VectorInto(nil) }
+
+// VectorInto is Vector built in v's storage when its capacity suffices
+// (a caller's per-round scratch); it returns the vector.
+func (g *Group) VectorInto(v vector.Vector) vector.Vector {
+	v = resize(v, vector.NumPairs(g.N()))
 	n := g.N()
-	v := vector.New(n)
 	idx := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -241,10 +256,14 @@ func (g *Group) pairValue(i, j int) vector.Value {
 // the pair component is (N_(i,j) − N_(j,i)) / k ∈ [−1, 1], preserving how
 // lopsided the flip was. Fault cases follow eq. 6 with the same ±1/Star
 // values as the ternary vector.
-func (g *Group) ExtendedVector() vector.Vector {
+func (g *Group) ExtendedVector() vector.Vector { return g.ExtendedVectorInto(nil) }
+
+// ExtendedVectorInto is ExtendedVector built in v's storage when its
+// capacity suffices; it returns the vector.
+func (g *Group) ExtendedVectorInto(v vector.Vector) vector.Vector {
+	v = resize(v, vector.NumPairs(g.N()))
 	n := g.N()
 	k := g.K()
-	v := vector.New(n)
 	idx := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -258,6 +277,15 @@ func (g *Group) ExtendedVector() vector.Vector {
 		}
 	}
 	return v
+}
+
+// resize returns v with length m, reallocated only when its capacity is
+// short.
+func resize(v vector.Vector, m int) vector.Vector {
+	if cap(v) < m {
+		return make(vector.Vector, m)
+	}
+	return v[:m]
 }
 
 // DetectionSequence returns the node IDs of reporting nodes sorted by

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"fttt/internal/deploy"
@@ -194,6 +195,36 @@ func TestSamplerReproducible(t *testing.T) {
 				t.Fatal("sampler not reproducible")
 			}
 		}
+	}
+}
+
+// TestSampleIntoReusesScratch pins the scratch contract: sampling into
+// a group left over from a different round (other reports, other RSS)
+// reuses its storage and yields exactly the fresh Sample, and so do the
+// sampling vectors built into a dirty buffer.
+func TestSampleIntoReusesScratch(t *testing.T) {
+	d := deploy.Grid(fieldRect, 9)
+	s := &Sampler{Model: rf.Default(), Nodes: d.Positions(), Range: 40}
+	g := s.Sample(geom.Pt(10, 90), 5, randx.New(4))
+	v := g.ExtendedVector()
+	for trial, pos := range []geom.Point{geom.Pt(80, 20), geom.Pt(50, 50), geom.Pt(10, 90)} {
+		want := s.Sample(pos, 5, randx.New(uint64(7+trial)))
+		got := s.SampleInto(g, pos, 5, randx.New(uint64(7+trial)))
+		if got != g {
+			t.Fatalf("trial %d: same-shape scratch group not reused", trial)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: SampleInto %+v, Sample %+v", trial, got, want)
+		}
+		if v = got.VectorInto(v); !vector.Equal(v, want.Vector()) {
+			t.Fatalf("trial %d: VectorInto %v, Vector %v", trial, v, want.Vector())
+		}
+		if v = got.ExtendedVectorInto(v); !vector.Equal(v, want.ExtendedVector()) {
+			t.Fatalf("trial %d: ExtendedVectorInto %v, ExtendedVector %v", trial, v, want.ExtendedVector())
+		}
+	}
+	if got := s.SampleInto(g, geom.Pt(50, 50), 3, randx.New(1)); got == g || got.K() != 3 {
+		t.Fatal("a scratch group of another shape must be replaced")
 	}
 }
 

@@ -99,6 +99,16 @@ func FromInts(vals ...int) Vector {
 	return v
 }
 
+// AppendCodes appends the values of ternary int8 codes (a division's
+// signature row: +1, 0 or −1 per pair) to dst and returns the extended
+// slice.
+func AppendCodes(dst Vector, codes []int8) Vector {
+	for _, c := range codes {
+		dst = append(dst, Value(c))
+	}
+	return dst
+}
+
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))

@@ -309,3 +309,14 @@ func TestDistancePanicsOnMismatch(t *testing.T) {
 	}()
 	Distance(New(3), New(4))
 }
+
+func TestAppendCodes(t *testing.T) {
+	dst := Vector{Star}
+	got := AppendCodes(dst, []int8{1, 0, -1})
+	if want := (Vector{Star, Nearer, Flipped, Farther}); !Equal(got, want) {
+		t.Fatalf("AppendCodes = %v, want %v", got, want)
+	}
+	if math.Signbit(float64(got[2])) {
+		t.Fatal("code 0 decoded to -0")
+	}
+}
