@@ -28,17 +28,31 @@ const goldenDir = "results/golden"
 // own decimal rounding (%.6f).
 const goldenEps = 1e-5
 
-// goldenTrace runs one of the pinned end-to-end scenarios. The faulted
-// variant layers the full fault repertoire — mid-run partial crash with
-// recovery, burst channel, calibration drift, clock skew — on the same
-// deployment and trace, with the degradation policy armed.
-func goldenTrace(t *testing.T, faulted bool) []fttt.TrackedPoint {
+// goldenScenario selects one of the pinned end-to-end scenarios: the
+// fault-free Basic baseline, the faulted one, or the fault-free
+// Extended (Def. 10) one.
+type goldenScenario int
+
+const (
+	goldenBaseline goldenScenario = iota
+	goldenFaulted
+	goldenExtended
+)
+
+// goldenConfig is the pinned scenarios' tracker configuration. The
+// faulted scenario layers the full fault repertoire — mid-run partial
+// crash with recovery, burst channel, calibration drift, clock skew —
+// on the same deployment and trace, with the degradation policy armed;
+// the extended one switches the sampling vectors to Def. 10's
+// quantitative values, whose lanes take the matcher's float kernel.
+func goldenConfig(t *testing.T, sc goldenScenario) fttt.Config {
 	t.Helper()
 	field := fttt.NewRect(fttt.Pt(0, 0), fttt.Pt(100, 100))
 	dep := fttt.DeployGrid(field, 16)
 	cfg := fttt.DefaultConfig(dep)
 	cfg.CellSize = 2
-	if faulted {
+	switch sc {
+	case goldenFaulted:
 		script, err := faults.Parse(`
 			crash at=6 frac=0.25 recover=14
 			crash at=8 frac=0.9 recover=10   # brief near-blackout: trips the degradation policy
@@ -53,7 +67,17 @@ func goldenTrace(t *testing.T, faulted bool) []fttt.TrackedPoint {
 		cfg.FaultSeed = 99
 		cfg.StarFractionLimit = 0.6
 		cfg.RetryBackoff = 0.1
+	case goldenExtended:
+		cfg.Variant = fttt.Extended
 	}
+	return cfg
+}
+
+// goldenTrace runs one of the pinned end-to-end scenarios serially
+// through Track.
+func goldenTrace(t *testing.T, sc goldenScenario) []fttt.TrackedPoint {
+	t.Helper()
+	cfg := goldenConfig(t, sc)
 	mob := fttt.Waypoints([]fttt.Point{fttt.Pt(20, 20), fttt.Pt(80, 60)}, 3)
 	trace, times := fttt.SampleTrace(mob, 20, 2)
 	tracked, err := fttt.Track(cfg, trace, times, 12345)
@@ -83,8 +107,8 @@ func b2i(b bool) int {
 
 // replayGolden re-runs the scenario and compares every field of every
 // tracked point against the committed fixture within goldenEps.
-func replayGolden(t *testing.T, name string, faulted bool) {
-	got := goldenCSV(goldenTrace(t, faulted))
+func replayGolden(t *testing.T, name string, sc goldenScenario) {
+	got := goldenCSV(goldenTrace(t, sc))
 
 	if *updateGolden {
 		path := filepath.Join(goldenDir, name)
@@ -138,7 +162,7 @@ func compareGoldenCSV(t *testing.T, name, got string) {
 // splitting, sampling, division or matching shows up as a point-wise
 // diff, not just a shifted mean.
 func TestGoldenTraceBaseline(t *testing.T) {
-	replayGolden(t, "track_baseline.csv", false)
+	replayGolden(t, "track_baseline.csv", goldenBaseline)
 }
 
 // TestGoldenTraceFaulted replays the fault-injected pinned scenario
@@ -146,40 +170,24 @@ func TestGoldenTraceBaseline(t *testing.T) {
 // against results/golden/track_faulted.csv — the fault scheduler's draw
 // sequences are part of the pinned behaviour.
 func TestGoldenTraceFaulted(t *testing.T) {
-	replayGolden(t, "track_faulted.csv", true)
+	replayGolden(t, "track_faulted.csv", goldenFaulted)
 }
 
 // goldenTraceBatched replays the same pinned scenario through the
 // wave-batched MultiTracker path: every trace point becomes a
 // LocalizeRequest for one target, so each point's first match runs
 // through match.Batch's SoA kernel instead of the serial Heuristic.
-// The fault-free variant submits the whole trace as a single
+// The fault-free scenarios submit the whole trace as a single
 // LocalizeBatch call (per-target FIFO turns it into 41 single-lane
 // waves in order); the faulted variant must advance the fault clock
 // between points exactly as Track's Seek does, so each point is its own
 // batch with the recorder armed — proving instrumentation does not
 // perturb the wave path either.
-func goldenTraceBatched(t *testing.T, faulted bool) []fttt.TrackedPoint {
+func goldenTraceBatched(t *testing.T, sc goldenScenario) []fttt.TrackedPoint {
 	t.Helper()
-	field := fttt.NewRect(fttt.Pt(0, 0), fttt.Pt(100, 100))
-	dep := fttt.DeployGrid(field, 16)
-	cfg := fttt.DefaultConfig(dep)
-	cfg.CellSize = 2
+	cfg := goldenConfig(t, sc)
+	faulted := sc == goldenFaulted
 	if faulted {
-		script, err := faults.Parse(`
-			crash at=6 frac=0.25 recover=14
-			crash at=8 frac=0.9 recover=10
-			burst pgb=0.05 pbg=0.5 loss=0.9
-			drift sigma=0.05
-			skew max=0.01 slew=10
-		`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FaultScript = script
-		cfg.FaultSeed = 99
-		cfg.StarFractionLimit = 0.6
-		cfg.RetryBackoff = 0.1
 		cfg.Tracer = fttt.NewTraceRecorder(0)
 	}
 	m, err := fttt.NewMulti(cfg)
@@ -237,11 +245,11 @@ func goldenTraceBatched(t *testing.T, faulted bool) []fttt.TrackedPoint {
 // replayGoldenBatched checks the batched replay against the
 // serial-generated fixture, byte for byte: the wave path's estimates,
 // flags and formatting must be indistinguishable from Track's.
-func replayGoldenBatched(t *testing.T, name string, faulted bool) {
+func replayGoldenBatched(t *testing.T, name string, sc goldenScenario) {
 	if *updateGolden {
 		t.Skip("fixtures are generated by the serial replay")
 	}
-	got := goldenCSV(goldenTraceBatched(t, faulted))
+	got := goldenCSV(goldenTraceBatched(t, sc))
 	want, err := os.ReadFile(filepath.Join(goldenDir, name))
 	if err != nil {
 		t.Fatalf("missing fixture (generate with: go test -run GoldenTrace -update-golden): %v", err)
@@ -261,7 +269,7 @@ func replayGoldenBatched(t *testing.T, name string, faulted bool) {
 // the exact bytes of results/golden/track_baseline.csv — the
 // end-to-end form of the batch matcher's differential contract.
 func TestGoldenTraceBatchedBaseline(t *testing.T) {
-	replayGoldenBatched(t, "track_baseline.csv", false)
+	replayGoldenBatched(t, "track_baseline.csv", goldenBaseline)
 }
 
 // TestGoldenTraceBatchedFaulted replays the fault-injected scenario
@@ -270,5 +278,21 @@ func TestGoldenTraceBatchedBaseline(t *testing.T) {
 // degradation retries, extrapolation and the fault scheduler's draw
 // sequences must all survive the batched execution unchanged.
 func TestGoldenTraceBatchedFaulted(t *testing.T) {
-	replayGoldenBatched(t, "track_faulted.csv", true)
+	replayGoldenBatched(t, "track_faulted.csv", goldenFaulted)
+}
+
+// TestGoldenTraceExtended replays the fault-free pinned scenario with
+// Extended (Def. 10) sampling vectors against
+// results/golden/track_extended.csv. Extended lanes carry fractional
+// components, so they exercise the matcher's float kernel — the
+// incremental per-link patch and its clamp — end to end.
+func TestGoldenTraceExtended(t *testing.T) {
+	replayGolden(t, "track_extended.csv", goldenExtended)
+}
+
+// TestGoldenTraceBatchedExtended replays the Extended scenario through
+// one LocalizeBatch call and demands the exact bytes of
+// results/golden/track_extended.csv.
+func TestGoldenTraceBatchedExtended(t *testing.T) {
+	replayGoldenBatched(t, "track_extended.csv", goldenExtended)
 }

@@ -66,6 +66,12 @@ func Suite() []Scenario {
 			setup:   setupLocalize,
 		},
 		{
+			Name: "core/localize-extended", Kind: KindMacro, Seed: 7,
+			Summary: "core/localize with Extended (Def. 10) sampling vectors: fractional lanes on the matcher's float kernel",
+			MapsTo:  "Sec. 6 Extended FTTT; the Figs. 12c-d and 13 per-round workload",
+			setup:   setupLocalizeExtended,
+		},
+		{
 			Name: "core/localize-batch", Kind: KindMacro, Seed: 13,
 			Summary: "MultiTracker.LocalizeBatch of 16 requests across 4 targets, CPU workers",
 			MapsTo:  "DESIGN.md §8 multi-target batching (serving determinism contract)",
@@ -348,6 +354,27 @@ func setupHeuristicMatchBatch64(sc Scenario) (*instance, error) {
 
 func setupLocalize(sc Scenario) (*instance, error) {
 	tr, err := core.New(paperConfig())
+	if err != nil {
+		return nil, err
+	}
+	rng := randx.New(sc.Seed)
+	var n int
+	return &instance{op: func(tb *testing.B) {
+		tb.ReportAllocs()
+		for i := 0; i < tb.N; i++ {
+			sink = tr.Localize(geom.Pt(40, 60), rng.SplitN("loc", n))
+			n++
+		}
+	}}, nil
+}
+
+// setupLocalizeExtended is setupLocalize with Extended (Def. 10)
+// sampling vectors — same fixture, same seed — so it prices the
+// matcher's float lanes, which no other scenario reaches.
+func setupLocalizeExtended(sc Scenario) (*instance, error) {
+	cfg := paperConfig()
+	cfg.Variant = core.Extended
+	tr, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
