@@ -7,7 +7,7 @@ FUZZTIME ?= 5s
 PERF_BASELINE ?= results/perf/baseline.json
 
 .PHONY: build test race raceserve vet allocgate fuzz soak check bench tools clean \
-	perf perfcheck profiles docscheck trace-demo
+	perf perfcheck profiles docscheck trace-demo svcbench
 
 build:
 	$(GO) build ./...
@@ -60,8 +60,15 @@ docscheck:
 	$(GO) vet ./...
 	$(GO) test -run 'TestPackageDocComments|TestMissingPackageDocsDetects|Example' -count 1 ./...
 
+# svcbench vets and tests the service benchmark, a separate Go module
+# (svcbench/go.mod), so `go build ./...` at the root never compiles it:
+# an API break there would otherwise surface only when the benchmark
+# runs.
+svcbench:
+	cd svcbench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the full local gate: what CI runs.
-check: vet build race raceserve allocgate fuzz docscheck
+check: vet build race raceserve allocgate fuzz docscheck svcbench
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

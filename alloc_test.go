@@ -79,10 +79,10 @@ func TestHeuristicMatchZeroAllocs(t *testing.T) {
 }
 
 // TestMatchBatchZeroAllocs pins the batch matcher's steady-state
-// contract: a warmed-up MatchBatch pass over a mixed probe spread (cold
-// + warm starts, ternary Basic vectors) performs zero heap allocations
-// when the destination slice has capacity — the SoA kernel owns all its
-// scratch.
+// contract: a warmed-up MatchBatchWeighted pass over a mixed probe
+// spread (cold + warm starts, ternary Basic vectors) performs zero heap
+// allocations when the destination slice has capacity — the matcher
+// owns all its scratch.
 func TestMatchBatchZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	fieldRect := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
@@ -110,12 +110,12 @@ func TestMatchBatchZeroAllocs(t *testing.T) {
 		}
 	}
 	m := &match.Batch{Div: div, Incremental: true}
-	out := m.MatchBatch(nil, vs, prevs) // warm scratch + result capacity
+	out := m.MatchBatchWeighted(nil, vs, prevs, nil) // warm scratch + result capacity
 	allocs := testing.AllocsPerRun(200, func() {
-		out = m.MatchBatch(out[:0], vs, prevs)
+		out = m.MatchBatchWeighted(out[:0], vs, prevs, nil)
 	})
 	if allocs != 0 {
-		t.Errorf("warmed-up MatchBatch allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("warmed-up MatchBatchWeighted allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

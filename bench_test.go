@@ -195,7 +195,7 @@ func matcherFixture(b *testing.B, n int) (*field.Division, []geom.Point, *sampli
 	return div, dep.Positions(), s
 }
 
-func benchMatcher(b *testing.B, n int, mk func(div *field.Division) match.Matcher) {
+func benchMatcher(b *testing.B, n int, mk func(div *field.Division) *match.Batch) {
 	div, _, s := matcherFixture(b, n)
 	m := mk(div)
 	rng := randx.New(9)
@@ -209,19 +209,19 @@ func benchMatcher(b *testing.B, n int, mk func(div *field.Division) match.Matche
 }
 
 func BenchmarkMatcherExhaustiveN9(b *testing.B) {
-	benchMatcher(b, 9, func(d *field.Division) match.Matcher { return &match.Exhaustive{Div: d} })
+	benchMatcher(b, 9, func(d *field.Division) *match.Batch { return &match.Batch{Div: d, Exhaustive: true} })
 }
 
 func BenchmarkMatcherExhaustiveN25(b *testing.B) {
-	benchMatcher(b, 25, func(d *field.Division) match.Matcher { return &match.Exhaustive{Div: d} })
+	benchMatcher(b, 25, func(d *field.Division) *match.Batch { return &match.Batch{Div: d, Exhaustive: true} })
 }
 
 func BenchmarkMatcherHeuristicN9(b *testing.B) {
-	benchMatcher(b, 9, func(d *field.Division) match.Matcher { return &match.Heuristic{Div: d} })
+	benchMatcher(b, 9, func(d *field.Division) *match.Batch { return &match.Batch{Div: d} })
 }
 
 func BenchmarkMatcherHeuristicN25(b *testing.B) {
-	benchMatcher(b, 25, func(d *field.Division) match.Matcher { return &match.Heuristic{Div: d} })
+	benchMatcher(b, 25, func(d *field.Division) *match.Batch { return &match.Batch{Div: d} })
 }
 
 func BenchmarkSamplingVector(b *testing.B) {
@@ -298,38 +298,6 @@ func benchDivide(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := field.DivideWorkers(fieldRect, rc, 1, workers); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultiTargetSerial / BenchmarkMultiTargetParallel measure one
-// LocalizeAll round over 8 targets, serial vs pooled across all CPUs.
-func BenchmarkMultiTargetSerial(b *testing.B)   { benchMultiTarget(b, 1) }
-func BenchmarkMultiTargetParallel(b *testing.B) { benchMultiTarget(b, 0) }
-
-func benchMultiTarget(b *testing.B, workers int) {
-	fieldRect := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
-	dep := deploy.Random(fieldRect, 20, randx.New(6))
-	mt, err := core.NewMulti(core.Config{
-		Field: fieldRect, Nodes: dep.Positions(), Model: rf.Default(),
-		Epsilon: 1, SamplingTimes: 5, Range: 40, CellSize: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const targets = 8
-	batch := make([]core.TargetPosition, targets)
-	for g := range batch {
-		batch[g] = core.TargetPosition{
-			ID:  string(rune('a' + g)),
-			Pos: geom.Pt(12+float64(g*11), 85-float64(g*9)),
-		}
-	}
-	rng := randx.New(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mt.LocalizeAll(batch, rng.SplitN("round", i), workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,10 @@
 // the uncertain boundaries carve, the signature dimension, the neighbor
 // link count, and an ASCII rendering of the face map.
 //
+// With -load the header reports the file's node and pair counts and
+// cell size (a spill file does not store C), and -map/-svg, which draw
+// the -n/-deploy sensors, must agree with the file's pair count.
+//
 // Usage:
 //
 //	fttt-field -n 4 -deploy grid -eps 1 -cell 2 -map
@@ -10,6 +14,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -43,13 +49,14 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*n, *layout, *eps, *sigma, *beta, *size, *cell, *cval, *seed, *drawMap, *top, *save, *load, *svgOut); err != nil {
+	if err := run(os.Stdout, *n, *layout, *eps, *sigma, *beta, *size, *cell, *cval, *seed, *drawMap, *top, *save, *load, *svgOut); err != nil {
 		fmt.Fprintln(os.Stderr, "fttt-field:", err)
 		os.Exit(1)
 	}
 }
 
-func run(n int, layout string, eps, sigma, beta, size, cell, cval float64, seed uint64, drawMap bool, top int, save, load, svgOut string) error {
+// run builds or loads the division and writes the report to out.
+func run(out io.Writer, n int, layout string, eps, sigma, beta, size, cell, cval float64, seed uint64, drawMap bool, top int, save, load, svgOut string) error {
 	fieldRect := geom.NewRect(geom.Pt(0, 0), geom.Pt(size, size))
 	model := rf.Default()
 	model.SigmaX = sigma
@@ -75,6 +82,7 @@ func run(n int, layout string, eps, sigma, beta, size, cell, cval float64, seed 
 		c = model.UncertaintyC(eps)
 	}
 	var div *field.Division
+	header := fmt.Sprintf("nodes=%d pairs=%d C=%.4f", n, vector.NumPairs(n), c)
 	if load != "" {
 		f, err := os.Open(load)
 		if err != nil {
@@ -85,7 +93,20 @@ func run(n int, layout string, eps, sigma, beta, size, cell, cval float64, seed 
 		if err != nil {
 			return err
 		}
-		fmt.Printf("loaded division from %s\n", load)
+		// A spill file stores neither the deployment nor C: report what
+		// the file holds, and refuse renderings that would draw the
+		// flags' sensors over a division built for other ones.
+		pairs := len(div.Faces[0].Signature)
+		nodes, ok := nodesForPairs(pairs)
+		if !ok {
+			return fmt.Errorf("%s: signature dimension %d is not C(n,2) for any node count", load, pairs)
+		}
+		if (drawMap || svgOut != "") && vector.NumPairs(n) != pairs {
+			return fmt.Errorf("-map and -svg draw the sensors of -n/-deploy: -n %d gives %d pairs, %s has %d (%d nodes)",
+				n, vector.NumPairs(n), load, pairs, nodes)
+		}
+		header = fmt.Sprintf("nodes=%d pairs=%d", nodes, pairs)
+		fmt.Fprintf(out, "loaded division from %s\n", load)
 	} else {
 		rc, err := field.NewRatioClassifier(dep.Positions(), c)
 		if err != nil {
@@ -108,12 +129,11 @@ func run(n int, layout string, eps, sigma, beta, size, cell, cval float64, seed 
 		if err != nil {
 			return err
 		}
-		fmt.Printf("saved division to %s\n", save)
+		fmt.Fprintf(out, "saved division to %s\n", save)
 	}
 
-	fmt.Printf("nodes=%d pairs=%d C=%.4f cell=%.1fm grid=%dx%d\n",
-		n, vector.NumPairs(n), c, div.CellSize, div.Cols, div.Rows)
-	fmt.Printf("faces=%d links=%d mean-face-area=%.1fm² uncertain-fraction=%.1f%%\n",
+	fmt.Fprintf(out, "%s cell=%.1fm grid=%dx%d\n", header, div.CellSize, div.Cols, div.Rows)
+	fmt.Fprintf(out, "faces=%d links=%d mean-face-area=%.1fm² uncertain-fraction=%.1f%%\n",
 		div.NumFaces(), div.NeighborLinkCount(), div.MeanFaceArea(), 100*div.UncertainFraction())
 
 	// Largest faces.
@@ -125,15 +145,15 @@ func run(n int, layout string, eps, sigma, beta, size, cell, cval float64, seed 
 	if top > len(idx) {
 		top = len(idx)
 	}
-	fmt.Printf("largest %d faces:\n", top)
+	fmt.Fprintf(out, "largest %d faces:\n", top)
 	for _, fi := range idx[:top] {
 		f := &div.Faces[fi]
-		fmt.Printf("  face %4d: %4d cells, centroid %v, %d neighbors, flipped-components=%d\n",
+		fmt.Fprintf(out, "  face %4d: %4d cells, centroid %v, %d neighbors, flipped-components=%d\n",
 			f.ID, f.Cells, f.Centroid, len(f.Neighbors), countZero(f.Signature))
 	}
 
 	if drawMap {
-		printMap(div, dep)
+		printMap(out, div, dep)
 	}
 	if svgOut != "" {
 		circles, err := arrangement.BoundaryCircles(dep.Positions(), c)
@@ -151,14 +171,14 @@ func run(n int, layout string, eps, sigma, beta, size, cell, cval float64, seed 
 		if err != nil {
 			return err
 		}
-		fmt.Printf("rendered division to %s\n", svgOut)
+		fmt.Fprintf(out, "rendered division to %s\n", svgOut)
 	}
 	return nil
 }
 
 // printMap renders the face raster: each face gets a letter (cycled);
 // sensor positions print as '#'.
-func printMap(div *field.Division, dep deploy.Deployment) {
+func printMap(out io.Writer, div *field.Division, dep deploy.Deployment) {
 	const glyphs = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 	// Downsample to at most 64 columns for terminal friendliness.
 	step := 1
@@ -180,8 +200,15 @@ func printMap(div *field.Division, dep deploy.Deployment) {
 			f := div.FaceAt(div.CellCenter(c, r))
 			line = append(line, glyphs[f.ID%len(glyphs)])
 		}
-		fmt.Println(string(line))
+		fmt.Fprintln(out, string(line))
 	}
+}
+
+// nodesForPairs solves C(n,2) = pairs for the node count n; ok is false
+// when pairs is not a pair count.
+func nodesForPairs(pairs int) (n int, ok bool) {
+	n = int(math.Round((1 + math.Sqrt(1+8*float64(pairs))) / 2))
+	return n, vector.NumPairs(n) == pairs
 }
 
 // countZero counts a signature's Flipped (0) codes.

@@ -42,7 +42,6 @@ func main() {
 		batchWait     = flag.Duration("batch-wait", 0, "max wait for batch stragglers (0 = default 2ms)")
 		queue         = flag.Int("queue", 0, "per-session admission queue limit (0 = default 256)")
 		timeout       = flag.Duration("timeout", 0, "default per-request deadline (0 = default 5s)")
-		workers       = flag.Int("workers", 0, "batch worker pool size (0 = CPU count)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
 		migrateGrace  = flag.Duration("migrate-grace", 0, "after SIGTERM, hold quiesced sessions this long for a router to migrate them off before teardown (0 = tear down immediately)")
 		traceRecords  = flag.Int("trace-records", 0, "per-session flight-recorder capacity in trace records (0 = tracing off)")
@@ -50,13 +49,13 @@ func main() {
 		fieldCacheMax = flag.Int("field-cache-max", 0, "max resident cached divisions, LRU-evicted when unpinned (0 = unbounded)")
 	)
 	flag.Parse()
-	if err := run(*addr, *maxBatch, *batchWait, *queue, *timeout, *workers, *drainTimeout, *migrateGrace, *traceRecords, *fieldCacheDir, *fieldCacheMax); err != nil {
+	if err := run(*addr, *maxBatch, *batchWait, *queue, *timeout, *drainTimeout, *migrateGrace, *traceRecords, *fieldCacheDir, *fieldCacheMax); err != nil {
 		fmt.Fprintln(os.Stderr, "fttt-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, maxBatch int, batchWait time.Duration, queue int, timeout time.Duration, workers int, drainTimeout, migrateGrace time.Duration, traceRecords int, fieldCacheDir string, fieldCacheMax int) error {
+func run(addr string, maxBatch int, batchWait time.Duration, queue int, timeout time.Duration, drainTimeout, migrateGrace time.Duration, traceRecords int, fieldCacheDir string, fieldCacheMax int) error {
 	reg := obs.NewRegistry()
 	build := obs.RegisterBuildInfo(reg)
 	fcache, err := fieldcache.New(fieldcache.Config{
@@ -71,7 +70,6 @@ func run(addr string, maxBatch int, batchWait time.Duration, queue int, timeout 
 		MaxBatch:       maxBatch,
 		MaxWait:        batchWait,
 		QueueLimit:     queue,
-		Workers:        workers,
 		RequestTimeout: timeout,
 		Obs:            reg,
 		TraceRecords:   traceRecords,

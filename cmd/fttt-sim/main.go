@@ -8,15 +8,14 @@
 // expvar and pprof while it executes.
 //
 // With -targets N (sampler mode) one MultiTracker serves N concurrent
-// targets over a single shared division, batching each round's
-// localizations across a -parallel worker pool; estimates are identical
-// for every worker count.
+// targets over a single shared division, sending each round's
+// localizations as one LocalizeBatch.
 //
 // Usage:
 //
 //	fttt-sim -n 20 -k 5 -eps 1 -duration 60 -strategy fttt-ext -seed 7
 //	fttt-sim -net -duration 600 -telemetry-addr :9090   # curl :9090/metrics
-//	fttt-sim -targets 8 -parallel 0 -duration 60        # multi-target serving
+//	fttt-sim -targets 8 -duration 60                    # multi-target serving
 package main
 
 import (
@@ -55,7 +54,7 @@ type simConfig struct {
 	verbose, report            bool
 	net                        bool
 	commRange, hopLoss, hopDel float64
-	targets, parallel          int
+	targets                    int
 	script                     *faults.Script
 	starFrac, retryBackoff     float64
 	defense                    bool
@@ -98,7 +97,6 @@ func main() {
 		hopLoss   = flag.Float64("hoploss", 0.05, "per-hop loss probability (-net mode)")
 		hopDelay  = flag.Float64("hopdelay", 0.002, "per-hop delay (s, -net mode)")
 		targets   = flag.Int("targets", 1, "number of concurrent targets (sampler mode, fttt strategies)")
-		parallel  = flag.Int("parallel", 0, "multi-target localization workers (0 = all CPUs, 1 = serial; with -targets > 1)")
 		faultSpec = flag.String("faults", "", "fault scenario: a script file path (or @path), or inline directives like 'crash at=20 frac=0.3; burst loss=0.9' (fttt strategies)")
 		starFrac  = flag.Float64("starfrac", 0, "star-fraction degradation threshold arming retry + extrapolation (0 = off)")
 		backoff   = flag.Float64("retrybackoff", -1, "virtual-time backoff before a degraded round's re-collection (s); -1 = period/5")
@@ -145,8 +143,8 @@ func main() {
 		verbose:  *verbose && *trials == 1,
 		report:   *trials == 1,
 		net:      *netMode, commRange: *commRange, hopLoss: *hopLoss, hopDel: *hopDelay,
-		targets: *targets, parallel: *parallel,
-		script: script, starFrac: *starFrac, retryBackoff: *backoff,
+		targets: *targets,
+		script:  script, starFrac: *starFrac, retryBackoff: *backoff,
 		defense: *defense,
 		obs:     reg,
 	}
@@ -275,9 +273,9 @@ func run(c simConfig) (simResult, error) {
 }
 
 // runMulti serves several concurrent targets from one MultiTracker over
-// the shared division: each round batches every target's localization
-// through LocalizeAll's worker pool. Results are deterministic for every
-// -parallel value; the wall-clock throughput line shows the speedup.
+// the shared division: each round sends every target's localization as
+// one LocalizeBatch, target t drawing from the round stream's
+// Split(target ID) substream.
 func runMulti(c simConfig, field geom.Rect, dep deploy.Deployment, model rf.Model,
 	root *randx.Stream) (simResult, error) {
 
@@ -312,29 +310,30 @@ func runMulti(c simConfig, field geom.Rect, dep deploy.Deployment, model rf.Mode
 	}
 	if c.report {
 		div := mt.Division()
-		fmt.Printf("division: %d faces, %d links; targets=%d workers=%d\n",
-			div.NumFaces(), div.NeighborLinkCount(), c.targets, c.parallel)
+		fmt.Printf("division: %d faces, %d links; targets=%d\n",
+			div.NumFaces(), div.NeighborLinkCount(), c.targets)
 	}
 
 	rounds := int(c.duration/c.locPeriod) + 1
 	perTarget := make([][]float64, c.targets)
 	res := simResult{}
-	batch := make([]core.TargetPosition, c.targets)
+	batch := make([]core.LocalizeRequest, c.targets)
 	wallStart := time.Now()
 	for i := 0; i < rounds; i++ {
 		tm := float64(i) * c.locPeriod
+		round := root.SplitN("round", i)
 		for t := 0; t < c.targets; t++ {
-			batch[t] = core.TargetPosition{ID: ids[t], Pos: mobs[t].At(tm)}
+			batch[t] = core.LocalizeRequest{ID: ids[t], Pos: mobs[t].At(tm), Rng: round.Split(ids[t])}
 		}
-		ests, err := mt.LocalizeAll(batch, root.SplitN("round", i), c.parallel)
+		ests, err := mt.LocalizeBatch(batch, 1)
 		if err != nil {
 			return simResult{}, err
 		}
 		for t := 0; t < c.targets; t++ {
-			e := ests[ids[t]].Pos.Dist(batch[t].Pos)
+			e := ests[t].Pos.Dist(batch[t].Pos)
 			perTarget[t] = append(perTarget[t], e)
 			res.errs = append(res.errs, e)
-			res.delivered += ests[ids[t]].Reported
+			res.delivered += ests[t].Reported
 			res.heard += inRange(dep.Positions(), batch[t].Pos, c.rng)
 		}
 		res.rounds += c.targets
@@ -352,8 +351,8 @@ func runMulti(c simConfig, field geom.Rect, dep deploy.Deployment, model rf.Mode
 			c.strategy, c.targets, c.n, c.k, c.seed, s.N)
 		fmt.Printf("error: mean=%.2fm stddev=%.2fm rmse=%.2fm median=%.2fm p90=%.2fm max=%.2fm\n",
 			s.Mean, s.StdDev, s.RMSE, s.Median, s.P90, s.Max)
-		fmt.Printf("throughput: %d localizations in %v (%.0f/s, workers=%d)\n",
-			s.N, wall.Round(time.Millisecond), float64(s.N)/wall.Seconds(), c.parallel)
+		fmt.Printf("throughput: %d localizations in %v (%.0f/s)\n",
+			s.N, wall.Round(time.Millisecond), float64(s.N)/wall.Seconds())
 	}
 	return res, nil
 }

@@ -102,12 +102,6 @@ type (
 	// shared field division. It is safe for concurrent use; distinct
 	// targets localize in parallel.
 	MultiTracker = core.MultiTracker
-	// TargetPosition names one target's true position for a batch
-	// MultiTracker.LocalizeAll round.
-	TargetPosition = core.TargetPosition
-	// TargetGroup names one target's grouping sampling for a batch
-	// MultiTracker.LocalizeGroups round.
-	TargetGroup = core.TargetGroup
 	// Sampler draws grouping samplings from the signal model — use it
 	// when feeding LocalizeGroup with externally collected samples.
 	Sampler = sampling.Sampler

@@ -176,7 +176,7 @@ func TestGoldenTraceFaulted(t *testing.T) {
 // goldenTraceBatched replays the same pinned scenario through the
 // wave-batched MultiTracker path: every trace point becomes a
 // LocalizeRequest for one target, so each point's first match runs
-// through match.Batch's SoA kernel instead of the serial Heuristic.
+// in a MultiTracker wave instead of on the tracker's own matcher.
 // The fault-free scenarios submit the whole trace as a single
 // LocalizeBatch call (per-target FIFO turns it into 41 single-lane
 // waves in order); the faulted variant must advance the fault clock

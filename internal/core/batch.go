@@ -4,34 +4,40 @@ import (
 	"time"
 
 	"fttt/internal/field"
+	"fttt/internal/geom"
 	"fttt/internal/match"
 	"fttt/internal/obs"
+	"fttt/internal/randx"
 	"fttt/internal/sampling"
 	"fttt/internal/vector"
 )
 
-// batchPending is one request's mid-round state between the wave's
+// batchPending is one request's mid-round state between the round's
 // pre-match phase (sampling + vector construction, batchBegin) and its
-// post-match completion (batchFinish). The central MatchBatch pass sits
-// between the two; everything a lane needs to resume exactly where the
-// serial code would be after its first matcher call lives here.
+// post-match completion (batchFinish). The round's first match sits
+// between the two — one lane of a MultiTracker wave, or the tracker's
+// own matcher for the serial entry points (a one-lane wave); everything
+// a lane needs to resume after it lives here.
 type batchPending struct {
 	tr     *Tracker
 	reqIdx int
 	// g is the collected (or externally provided) grouping sampling; v
 	// its sampling vector; prev the warm-start face captured before the
-	// central match.
+	// first match.
 	g    *sampling.Group
 	v    vector.Vector
 	prev *field.Face
 	// w is the defense layer's per-pair trust weight vector for the
-	// central match (nil without a Defense, or while no node is suspect).
+	// first match (nil without a Defense, or while no node is suspect).
 	w []float64
-	// recollect is the degradation policy's bounded re-collection hook,
-	// built exactly like Localize builds it (nil on the Group path or
-	// with the policy disarmed).
+	// recollect is LocalizeGroupRetry's caller-supplied re-collection
+	// hook. On the sampling path with the degradation policy armed, pos
+	// and retry (the request's "retry" substream) drive the
+	// re-collection instead.
 	recollect func() *sampling.Group
-	// roundSp/roundOwned and cbEnd replay LocalizeGroupRetry's span and
+	pos       geom.Point
+	retry     *randx.Stream
+	// roundSp/roundOwned and cbEnd are the round's span and
 	// callback-tracer bookkeeping; start feeds the latency histogram.
 	roundSp      obs.ActiveSpan
 	roundOwned   bool
@@ -40,12 +46,11 @@ type batchPending struct {
 	start        time.Time
 }
 
-// batchBegin replays the serial request flow up to (but excluding) the
-// first matcher call: request span installation, round span, grouping
-// collection with the retry hook, sampling-vector construction, and the
-// LocalizeGroupRetry instrumentation preamble. The returned pending
-// state plus the lane's (v, prev) pair is everything the central batch
-// match needs.
+// batchBegin runs a round up to (but excluding) its first match:
+// request span installation, round span, grouping collection with the
+// retry hook, the instrumentation preamble, sampling-vector
+// construction and the defense's pre-match phase. The returned pending
+// state's (v, prev, w) is the round's match lane.
 func (t *Tracker) batchBegin(r *LocalizeRequest) batchPending {
 	t.SetRequestSpan(r.Span)
 	p := batchPending{tr: t}
@@ -54,18 +59,12 @@ func (t *Tracker) batchBegin(r *LocalizeRequest) batchPending {
 	} else {
 		// The Localize path: the round span opens around the collection,
 		// and a degraded round may re-collect from the unconditional
-		// "retry" substream after the fault-clock backoff.
+		// "retry" substream (split here, so it never perturbs the primary
+		// draws).
 		p.roundSp, p.roundOwned = t.beginRound()
 		p.g = t.sampleTraced("sample", r.Pos, r.Rng, &t.groups[0])
 		if t.cfg.StarFractionLimit > 0 {
-			retry := r.Rng.Split("retry")
-			pos := r.Pos
-			p.recollect = func() *sampling.Group {
-				if t.faults != nil && t.cfg.RetryBackoff > 0 {
-					t.faults.Seek(t.faults.Now() + t.cfg.RetryBackoff)
-				}
-				return t.sampleTraced("resample", pos, retry, &t.groups[1])
-			}
+			p.pos, p.retry = r.Pos, r.Rng.Split("retry")
 		}
 	}
 	if t.metrics != nil || t.tracer != nil {
@@ -76,31 +75,19 @@ func (t *Tracker) batchBegin(r *LocalizeRequest) batchPending {
 		p.cbEnd = obs.StartSpan(t.cb, "core", "localize")
 		p.start = time.Now()
 	}
-	p.v = t.samplingVector(p.g)
-	if t.defense != nil {
-		// The serial pre-match defense phase — plausibility gate, then
-		// Apply; the matching Observe runs in batchFinish, before the
-		// degradation policy's retry can open its own Apply/Observe round.
-		t.defense.ObserveGroup(p.g)
-		p.w = t.defense.Apply(p.v)
-	}
+	// The matching defense Observe runs in batchFinish, before the
+	// degradation policy's retry can open its own Apply/Observe round.
+	p.v, p.w = t.prematch(p.g)
 	p.prev = t.prev
 	return p
 }
 
-// batchFinish consumes the lane's centrally computed match result —
-// proven bitwise equal to what t.matcher.Match(p.v, p.prev) returns —
-// and replays the rest of the serial request: match span, warm-start
-// update, degradation policy (retries run on the tracker's own serial
-// matcher), metrics, events, and round close.
+// batchFinish consumes the lane's match result and completes the round:
+// the defense's post-match phase, warm-start update, degradation policy
+// (retries run on the tracker's own matcher), metrics, events, and
+// round close.
 func (t *Tracker) batchFinish(p *batchPending, r match.Result) Estimate {
-	if t.rec != nil {
-		endMatchSpan(t.rec.Start(t.round, "match", "match"), r)
-	}
-	if t.defense != nil {
-		t.defense.Observe(r.Face.Signature)
-	}
-	est := t.finishDegraded(t.finishMatch(p.v, p.g, r), p.recollect)
+	est := t.finishDegraded(t.finishMatch(p.v, p.g, r), p)
 	if p.instrumented {
 		if m := t.metrics; m != nil {
 			m.latency.Observe(time.Since(p.start).Seconds())

@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"fttt/internal/byz"
 	"fttt/internal/faults"
@@ -105,11 +104,6 @@ type Config struct {
 	// constant; rf.Model.CalibratedC offers a flip-calibrated alternative
 	// compared in the BoundaryAblation experiment (DESIGN.md §5).
 	CustomC float64
-	// TopM, when positive, replaces the argmax estimator with the
-	// similarity-weighted mean of the M best faces (match.WeightedTopM) —
-	// the estimator ablation of DESIGN.md §5. It implies an exhaustive
-	// scan per localization.
-	TopM int
 	// StarFractionLimit, when positive, arms the degradation policy of
 	// DESIGN.md §9: a localization whose sampling vector carries more
 	// than this fraction of Star pairs (both nodes silent — the weakest
@@ -140,9 +134,7 @@ type Config struct {
 	// sum. Every tracker clone builds its own Defense from this config, so
 	// defended runs stay byte-identical across worker counts; while no
 	// node is suspect the matcher runs its unmodified path, keeping a
-	// defended honest run byte-identical to a vanilla one. Incompatible
-	// with TopM (the weighted-top-M estimator has no trust-weighted batch
-	// equivalent).
+	// defended honest run byte-identical to a vanilla one.
 	Defense *byz.Config
 	// Obs, when non-nil, receives the tracker's metrics (localizations,
 	// faces visited, fallbacks, flip/star/missing-report counts, localize
@@ -180,9 +172,6 @@ func (c Config) Validate() error {
 		if err := c.Defense.Validate(); err != nil {
 			return err
 		}
-		if c.Defense.Enabled && c.TopM > 0 {
-			return fmt.Errorf("core: Defense is incompatible with the TopM estimator (no trust-weighted WeightedTopM)")
-		}
 	}
 	return c.Model.Validate()
 }
@@ -198,7 +187,7 @@ func (c Config) Validate() error {
 type Tracker struct {
 	cfg     Config
 	div     *field.Division
-	matcher match.Matcher
+	matcher *match.Batch
 	sampler *sampling.Sampler
 	prev    *field.Face
 	faults  *faults.Scheduler
@@ -327,24 +316,15 @@ func NewWithDivision(cfg Config, div *field.Division) (*Tracker, error) {
 		return nil, fmt.Errorf("core: division signature dimension %d does not match %d nodes (want %d pairs) — division built for a different deployment",
 			got, len(cfg.Nodes), want)
 	}
-	var m match.Matcher
-	switch {
-	case cfg.TopM > 0:
-		m = &match.WeightedTopM{Div: div, M: cfg.TopM}
-	case cfg.Exhaustive:
-		m = &match.Exhaustive{Div: div}
-	default:
-		m = &match.Heuristic{
+	t := &Tracker{
+		cfg: cfg,
+		div: div,
+		matcher: &match.Batch{
 			Div:           div,
 			Incremental:   true, // identical results, ~3× faster per hop
-			Fallback:      cfg.FallbackBelow > 0,
 			FallbackBelow: cfg.FallbackBelow,
-		}
-	}
-	t := &Tracker{
-		cfg:     cfg,
-		div:     div,
-		matcher: m,
+			Exhaustive:    cfg.Exhaustive,
+		},
 		sampler: &sampling.Sampler{
 			Model:      cfg.Model,
 			Nodes:      cfg.Nodes,
@@ -492,28 +472,16 @@ func (e Estimate) participating() int {
 // the "retry" substream (split unconditionally, so the retry never
 // perturbs the primary draws).
 func (t *Tracker) Localize(pos geom.Point, rng *randx.Stream) Estimate {
-	// Open the round span before sampling so the collection nests inside
-	// it; LocalizeGroupRetry's beginRound then sees the round already
-	// open and leaves ownership here.
-	sp, owned := t.beginRound()
-	g := t.sampleTraced("sample", pos, rng, &t.groups[0])
-	var recollect func() *sampling.Group
-	if t.cfg.StarFractionLimit > 0 {
-		retry := rng.Split("retry")
-		recollect = func() *sampling.Group {
-			if t.faults != nil && t.cfg.RetryBackoff > 0 {
-				// The backoff lets transient faults clear before the
-				// re-collection — advance the fault clock past it.
-				t.faults.Seek(t.faults.Now() + t.cfg.RetryBackoff)
-			}
-			return t.sampleTraced("resample", pos, retry, &t.groups[1])
-		}
-	}
-	est := t.LocalizeGroupRetry(g, recollect)
-	if owned {
-		t.endRound(&sp, est)
-	}
-	return est
+	return t.localize(&LocalizeRequest{Pos: pos, Rng: rng, Span: t.reqSpan}, nil)
+}
+
+// localize runs one round as a one-lane wave on the tracker's own
+// matcher: batchBegin, the match (bracketed by the match span), then
+// batchFinish. recollect is LocalizeGroupRetry's re-collection hook.
+func (t *Tracker) localize(r *LocalizeRequest, recollect func() *sampling.Group) Estimate {
+	p := t.batchBegin(r)
+	p.recollect = recollect
+	return t.batchFinish(&p, t.matchTraced(p.v, p.w))
 }
 
 // beginRound opens the structured round span under the current request
@@ -585,60 +553,14 @@ func (t *Tracker) LocalizeGroup(g *sampling.Group) Estimate {
 // recollect may be nil (no retry possible — e.g. the reports are a
 // recorded trace) and may return nil (the re-collection itself failed).
 func (t *Tracker) LocalizeGroupRetry(g *sampling.Group, recollect func() *sampling.Group) Estimate {
-	if t.metrics == nil && t.tracer == nil {
-		return t.localizeDegraded(g, recollect)
-	}
-	sp, owned := t.beginRound()
-	end := obs.StartSpan(t.cb, "core", "localize")
-	start := time.Now()
-	est := t.localizeDegraded(g, recollect)
-	if m := t.metrics; m != nil {
-		m.latency.Observe(time.Since(start).Seconds())
-		m.localizations.Inc()
-		m.visited.Observe(float64(est.Visited))
-		m.stars.Add(float64(est.Stars))
-		m.flipped.Add(float64(est.Flipped))
-		m.missing.Add(float64(g.N() - g.NumReported()))
-		if est.FellBack {
-			m.fallbacks.Inc()
-		}
-		if est.Degraded {
-			m.degraded.Inc()
-		}
-		if est.Retried {
-			m.retries.Inc()
-		}
-		if est.Extrapolated {
-			m.extrapolated.Inc()
-		}
-	}
-	if est.FellBack {
-		obs.Emit(t.cb, "core", "matcher_fallback", est.Similarity)
-	}
-	if est.Degraded {
-		obs.Emit(t.cb, "core", "degraded", est.StarFraction())
-	}
-	end()
-	if owned {
-		t.endRound(&sp, est)
-	}
-	return est
+	return t.localize(&LocalizeRequest{Group: g, Span: t.reqSpan}, recollect)
 }
 
-// localizeDegraded runs the match plus the degradation policy of
-// DESIGN.md §9 and maintains the estimate history the extrapolation
-// fallback consumes. With StarFractionLimit == 0 it is the plain match
-// plus two point assignments — the hot path stays allocation-free.
-func (t *Tracker) localizeDegraded(g *sampling.Group, recollect func() *sampling.Group) Estimate {
-	return t.finishDegraded(t.localizeGroup(g), recollect)
-}
-
-// finishDegraded is localizeDegraded after the first match: the
-// degradation policy over an already computed estimate. Split out so the
-// batch engine (multi.go) can feed the first match through the central
-// SoA batch matcher and still replay the serial retry/extrapolation path
-// verbatim.
-func (t *Tracker) finishDegraded(est Estimate, recollect func() *sampling.Group) Estimate {
+// finishDegraded applies the degradation policy of DESIGN.md §9 to a
+// round's first estimate and maintains the estimate history the
+// extrapolation fallback consumes. With StarFractionLimit == 0 it is
+// two point assignments — the hot path stays allocation-free.
+func (t *Tracker) finishDegraded(est Estimate, p *batchPending) Estimate {
 	lim := t.cfg.StarFractionLimit
 	if lim <= 0 || est.StarFraction() <= lim {
 		t.pushHistory(est.Pos)
@@ -647,11 +569,12 @@ func (t *Tracker) finishDegraded(est Estimate, recollect func() *sampling.Group)
 	est.Degraded = true
 	t.rec.RecordEvent(t.round, "core", "degraded", est.StarFraction())
 	face := t.prev
-	if recollect != nil {
+	if p.recollect != nil || p.retry != nil {
 		est.Retried = true
 		t.rec.RecordEvent(t.round, "core", "retry", est.StarFraction())
-		if g2 := recollect(); g2 != nil {
-			est2 := t.localizeGroup(g2)
+		if g2 := t.recollect(p); g2 != nil {
+			v2, w2 := t.prematch(g2)
+			est2 := t.finishMatch(v2, g2, t.matchTraced(v2, w2))
 			if est2.StarFraction() < est.StarFraction() {
 				// The retry heard more: adopt it (its face is already
 				// the warm start).
@@ -694,6 +617,20 @@ func (t *Tracker) finishDegraded(est Estimate, recollect func() *sampling.Group)
 	return est
 }
 
+// recollect runs a degraded round's one re-collection: the caller's
+// hook, or on the sampling path a fresh collection from the round's
+// "retry" substream after the backoff, which lets transient faults
+// clear — the fault clock is advanced past it.
+func (t *Tracker) recollect(p *batchPending) *sampling.Group {
+	if p.recollect != nil {
+		return p.recollect()
+	}
+	if t.faults != nil && t.cfg.RetryBackoff > 0 {
+		t.faults.Seek(t.faults.Now() + t.cfg.RetryBackoff)
+	}
+	return t.sampleTraced("resample", p.pos, p.retry, &t.groups[1])
+}
+
 // pushHistory records a final position estimate for the extrapolation
 // fallback.
 func (t *Tracker) pushHistory(pos geom.Point) {
@@ -704,50 +641,31 @@ func (t *Tracker) pushHistory(pos geom.Point) {
 	}
 }
 
-func (t *Tracker) localizeGroup(g *sampling.Group) Estimate {
+// prematch builds a collection's sampling vector and runs the defense's
+// pre-match phase: the range-plausibility gate over the raw reports,
+// then a snapshot of them, quorum correction or starring-out of suspect
+// pairs in place, and the trust weights (nil while no node is suspect —
+// the unmodified, byte-identical matcher path).
+func (t *Tracker) prematch(g *sampling.Group) (vector.Vector, []float64) {
 	v := t.samplingVector(g)
 	var w []float64
 	if t.defense != nil {
-		// Pre-match defense: run the range-plausibility gate over the raw
-		// reports, then snapshot them, quorum-correct or star out suspect
-		// pairs in place, and emit trust weights (nil while no node is
-		// suspect — the unmodified, byte-identical matcher path).
 		t.defense.ObserveGroup(g)
 		w = t.defense.Apply(v)
 	}
-	var r match.Result
-	if t.rec == nil {
-		r = t.matchWeighted(v, t.prev, w)
-	} else {
-		msp := t.rec.Start(t.round, "match", "match")
-		r = t.matchWeighted(v, t.prev, w)
-		endMatchSpan(msp, r)
-	}
-	if t.defense != nil {
-		// Post-match learning: charge inversion evidence from what the
-		// nodes reported against the face the round settled on.
-		t.defense.Observe(r.Face.Signature)
-	}
-	return t.finishMatch(v, g, r)
+	return v, w
 }
 
-// matchWeighted dispatches one match with optional per-pair trust
-// weights. A nil w — the always case without a Defense, and the
-// honest-fleet fast path with one — runs the plain Matcher interface;
-// weighted matches go to the concrete matcher's MatchWeighted (Validate
-// rejects configurations whose matcher has none).
-func (t *Tracker) matchWeighted(v vector.Vector, prev *field.Face, w []float64) match.Result {
-	if w == nil {
-		return t.matcher.Match(v, prev)
+// matchTraced matches v from the warm-start face on the tracker's own
+// matcher, bracketed by a "match" span when tracing is on.
+func (t *Tracker) matchTraced(v vector.Vector, w []float64) match.Result {
+	if t.rec == nil {
+		return t.matcher.MatchWeighted(v, t.prev, w)
 	}
-	switch m := t.matcher.(type) {
-	case *match.Heuristic:
-		return m.MatchWeighted(v, prev, w)
-	case *match.Exhaustive:
-		return m.MatchWeighted(v, prev, w)
-	default:
-		return t.matcher.Match(v, prev)
-	}
+	msp := t.rec.Start(t.round, "match", "match")
+	r := t.matcher.MatchWeighted(v, t.prev, w)
+	endMatchSpan(msp, r)
+	return r
 }
 
 // samplingVector builds the group's sampling vector for the configured
@@ -773,9 +691,14 @@ func endMatchSpan(msp obs.ActiveSpan, r match.Result) {
 	msp.End()
 }
 
-// finishMatch folds a match result into the tracker's warm-start state
-// and the round's Estimate.
+// finishMatch runs the defense's post-match learning — charging
+// inversion evidence from what the nodes reported against the face the
+// match settled on — and folds the result into the tracker's warm-start
+// state and the round's Estimate.
 func (t *Tracker) finishMatch(v vector.Vector, g *sampling.Group, r match.Result) Estimate {
+	if t.defense != nil {
+		t.defense.Observe(r.Face.Signature)
+	}
 	t.prev = r.Face
 	return Estimate{
 		Pos:        r.Estimate,

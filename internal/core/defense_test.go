@@ -28,9 +28,8 @@ func byzTrace() []geom.Point {
 	return pts
 }
 
-// TestDefenseValidate pins the configuration seams: a bad byz config
-// fails core validation, and Defense+TopM is rejected (the weighted
-// top-M estimator has no trust-weighted form).
+// TestDefenseValidate pins the configuration seam: a bad byz config
+// fails core validation.
 func TestDefenseValidate(t *testing.T) {
 	cfg := defendedConfig(16)
 	if err := cfg.Validate(); err != nil {
@@ -40,11 +39,6 @@ func TestDefenseValidate(t *testing.T) {
 	bad.Defense = &byz.Config{Enabled: true, QuorumThreshold: 0.2}
 	if err := bad.Validate(); err == nil {
 		t.Error("sub-majority quorum threshold should be rejected")
-	}
-	bad = cfg
-	bad.TopM = 3
-	if err := bad.Validate(); err == nil {
-		t.Error("Defense with TopM should be rejected")
 	}
 }
 

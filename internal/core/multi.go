@@ -27,11 +27,13 @@ import (
 // A MultiTracker is safe for concurrent use: the target table is
 // mutex-protected and each target's localizations are serialized on a
 // per-target lock, so goroutines localizing distinct targets proceed in
-// parallel while the shared Division is only ever read. LocalizeAll and
-// LocalizeGroups fan a whole batch across a worker pool.
+// parallel while the shared Division is only ever read. LocalizeBatch
+// runs a whole batch as waves through one shared matcher.
 type MultiTracker struct {
-	base   Config
-	shared *Tracker // owns the division
+	base Config
+	// shared owns the division. It never localizes, so its matcher is
+	// the wave matcher, guarded by batchMu.
+	shared *Tracker
 
 	mu      sync.RWMutex
 	targets map[string]*targetState
@@ -39,9 +41,9 @@ type MultiTracker struct {
 	// batchMu serializes the batched localization path: the engine below
 	// holds every participating target's lock for the whole batch, and
 	// one-at-a-time batches keep the multi-lock acquisition trivially
-	// deadlock-free. It also guards the wave scratch.
+	// deadlock-free. It also guards the wave scratch and shared's
+	// matcher.
 	batchMu   sync.Mutex
-	bm        *match.Batch
 	pend      []batchPending
 	laneVs    []vector.Vector
 	lanePrevs []*field.Face
@@ -137,85 +139,13 @@ func (m *MultiTracker) LocalizeGroup(targetID string, g *sampling.Group) (Estima
 	return est, nil
 }
 
-// TargetPosition names one target's true position for a batch
-// localization round.
-type TargetPosition struct {
-	ID  string
-	Pos geom.Point
-}
-
-// TargetGroup names one target's externally collected grouping sampling
-// for a batch localization round.
-type TargetGroup struct {
-	ID    string
-	Group *sampling.Group
-}
-
-// LocalizeAll samples and localizes every target of the batch, fanning
-// the work across a pool of workers (≤ 0 selects runtime.NumCPU(); 1 is
-// serial). Target i draws its sampling noise from the substream
-// rng.Split(batch[i].ID), so the estimates are identical for every worker
-// count and schedule — and identical to localizing each target alone with
-// the same substream. IDs should be unique within one batch; duplicates
-// are localized serially in unspecified relative order.
-func (m *MultiTracker) LocalizeAll(batch []TargetPosition, rng *randx.Stream, workers int) (map[string]Estimate, error) {
-	states := make([]*targetState, len(batch))
-	streams := make([]*randx.Stream, len(batch))
-	for i, tp := range batch {
-		ts, err := m.target(tp.ID)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = ts
-		streams[i] = rng.Split(tp.ID)
-	}
-	ests := make([]Estimate, len(batch))
-	fanOut(len(batch), workers, func(i int) {
-		ts := states[i]
-		ts.mu.Lock()
-		ests[i] = ts.tr.Localize(batch[i].Pos, streams[i])
-		ts.mu.Unlock()
-	})
-	out := make(map[string]Estimate, len(batch))
-	for i, tp := range batch {
-		out[tp.ID] = ests[i]
-	}
-	return out, nil
-}
-
-// LocalizeGroups is LocalizeAll for externally collected grouping
-// samplings (the wsnnet path): each target's group is matched on a worker
-// from the pool, warm-starting from that target's previous face.
-func (m *MultiTracker) LocalizeGroups(batch []TargetGroup, workers int) (map[string]Estimate, error) {
-	states := make([]*targetState, len(batch))
-	for i, tg := range batch {
-		ts, err := m.target(tg.ID)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = ts
-	}
-	ests := make([]Estimate, len(batch))
-	fanOut(len(batch), workers, func(i int) {
-		ts := states[i]
-		ts.mu.Lock()
-		ests[i] = ts.tr.LocalizeGroup(batch[i].Group)
-		ts.mu.Unlock()
-	})
-	out := make(map[string]Estimate, len(batch))
-	for i, tg := range batch {
-		out[tg.ID] = ests[i]
-	}
-	return out, nil
-}
-
 // LocalizeRequest is one entry of a heterogeneous LocalizeBatch round:
 // a target ID plus either an externally collected grouping sampling
 // (Group non-nil) or a true position to sample, with the request's own
-// noise substream. Unlike LocalizeAll, requests carry explicit streams,
-// so the same target may appear several times in one batch — its
-// requests execute serially in slice order, which is what a serving
-// batcher needs to keep batched execution byte-identical to serial.
+// noise substream. Requests carry explicit streams, so the same target
+// may appear several times in one batch — its requests execute serially
+// in slice order, which is what a serving batcher needs to keep batched
+// execution byte-identical to serial.
 type LocalizeRequest struct {
 	// ID names the target; must be non-empty.
 	ID string
@@ -237,22 +167,16 @@ type LocalizeRequest struct {
 // i's estimate lands in slot i of the result; requests for the same
 // target execute serially in slice order. Because each request consumes
 // only its own stream and per-target order is preserved, the results
-// are byte-identical for every worker count and batch split — equal to
-// executing the requests one at a time in slice order. This is the
-// primitive the serving micro-batcher (internal/serve) coalesces
-// concurrent localize calls into.
+// are byte-identical for every batch split — equal to executing the
+// requests one at a time in slice order. This is the primitive the
+// serving micro-batcher (internal/serve) coalesces concurrent localize
+// calls into.
 //
-// When the configured matcher has a batch equivalent (every config
-// except TopM > 0, a weighted estimator the batch kernel does not
-// replicate), the batch executes as waves: one pending request per
-// target per wave runs its sampling, then a single match.Batch pass
-// scores every wave lane's first match against the SoA store —
-// bitwise-identical to the per-lane serial matcher by the batch
-// kernel's differential contract — and each lane then completes its
-// round (degradation retries use the lane's own serial matcher).
-// Otherwise distinct targets fan across a pool of workers (≤ 0 selects
-// runtime.NumCPU(); 1 is serial) exactly as before; workers is ignored
-// on the wave path.
+// The batch executes as waves: one pending request per target per wave
+// runs its sampling, then a single match.Batch pass scores every wave
+// lane's first match, and each lane then completes its round
+// (degradation retries use the lane's own tracker). workers is ignored;
+// it is kept so existing callers compile.
 func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Estimate, error) {
 	bi := batchIndexPool.Get().(*batchIndex)
 	defer bi.release()
@@ -292,63 +216,26 @@ func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Est
 			rec.Link(batchSpan.Ref(), reqs[i].Span)
 		}
 	}
-	if m.base.TopM == 0 {
-		m.localizeBatchWaves(reqs, bi, ests)
-	} else {
-		m.localizeBatchFanOut(reqs, bi, ests, workers)
-	}
+	m.localizeBatchWaves(reqs, bi, ests)
 	batchSpan.End()
 	return ests, nil
 }
 
-// localizeBatchFanOut is the pre-SoA execution strategy: distinct
-// targets fan across a worker pool, each running its requests serially
-// through the per-target tracker (and its serial matcher).
-func (m *MultiTracker) localizeBatchFanOut(reqs []LocalizeRequest, bi *batchIndex, ests []Estimate, workers int) {
-	fanOut(len(bi.states), workers, func(ti int) {
-		ts := bi.states[ti]
-		ts.mu.Lock()
-		for _, ri := range bi.reqs[ti] {
-			r := reqs[ri]
-			ts.tr.SetRequestSpan(r.Span)
-			if r.Group != nil {
-				ests[ri] = ts.tr.LocalizeGroup(r.Group)
-			} else {
-				ests[ri] = ts.tr.Localize(r.Pos, r.Rng)
-			}
-		}
-		ts.tr.SetRequestSpan(obs.SpanRef{})
-		ts.mu.Unlock()
-	})
-}
-
-// localizeBatchWaves executes the batch through the shared SoA batch
+// localizeBatchWaves executes the batch through the shared wave
 // matcher. Requests are organized into waves holding at most one
 // request per target (per-target FIFO preserved: wave w takes each
 // target's w-th request), because a request's completion phase can
 // mutate per-target state the target's next request must observe — the
 // fault clock a degraded retry advances, the warm-start face, the
 // estimate history. Lanes of one wave belong to distinct targets, so
-// the pre-match phases can run back to back, one central MatchBatch
-// pass scores every lane, and the completion phases replay the rest of
-// the serial flow. Every target lock is held for the whole batch;
+// the pre-match phases can run back to back, one central
+// MatchBatchWeighted pass scores every lane, and the completion phases
+// finish each round. Every target lock is held for the whole batch;
 // batchMu keeps multi-lock acquisition single-flight (single-lock
 // callers like LocalizeGroup cannot form a cycle against it).
 func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, bi *batchIndex, ests []Estimate) {
 	m.batchMu.Lock()
 	defer m.batchMu.Unlock()
-	if m.bm == nil {
-		// Mirror NewWithDivision's serial matcher knobs exactly: the
-		// batch kernel's bitwise-identity contract is per matching
-		// configuration.
-		m.bm = &match.Batch{
-			Div:           m.shared.Division(),
-			Incremental:   true,
-			Fallback:      m.base.FallbackBelow > 0,
-			FallbackBelow: m.base.FallbackBelow,
-			Exhaustive:    m.base.Exhaustive,
-		}
-	}
 	for _, ts := range bi.states {
 		ts.mu.Lock()
 	}
@@ -377,12 +264,12 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, bi *batchIndex
 		if len(pend) == 0 {
 			break
 		}
-		// Weighted lanes (a defense with active suspects) take the float
-		// replay path; nil-weight lanes run the unweighted kernels, so
-		// without a Defense this is exactly MatchBatch.
-		m.laneRes = m.bm.MatchBatchWeighted(m.laneRes[:0], vs, prevs, ws)
+		m.laneRes = m.shared.matcher.MatchBatchWeighted(m.laneRes[:0], vs, prevs, ws)
 		for i := range pend {
 			p := &pend[i]
+			if rec := p.tr.rec; rec != nil {
+				endMatchSpan(rec.Start(p.tr.round, "match", "match"), m.laneRes[i])
+			}
 			ests[p.reqIdx] = p.tr.batchFinish(p, m.laneRes[i])
 		}
 		if m.metrics != nil {

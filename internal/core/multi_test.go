@@ -197,96 +197,10 @@ func TestMultiTrackerConcurrentDistinctTargets(t *testing.T) {
 	}
 }
 
-func TestMultiTrackerLocalizeAllParallelMatchesSerial(t *testing.T) {
-	// LocalizeAll draws each target's noise from rng.Split(ID), so the
-	// batch result is identical for every worker count.
-	cfg := defaultConfig(16)
-	const targets, rounds = 6, 10
-
-	run := func(workers int) []map[string]Estimate {
-		m, err := NewMulti(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		root := randx.New(99)
-		var out []map[string]Estimate
-		for i := 0; i < rounds; i++ {
-			batch := make([]TargetPosition, targets)
-			for g := range batch {
-				batch[g] = TargetPosition{
-					ID:  fmt.Sprintf("target-%d", g),
-					Pos: geom.Pt(15+float64(g*12+i), 20+float64(g*9+i)/2),
-				}
-			}
-			ests, err := m.LocalizeAll(batch, root.SplitN("round", i), workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, ests)
-		}
-		return out
-	}
-
-	serial := run(1)
-	for _, workers := range []int{2, 4, 8, 0} {
-		par := run(workers)
-		for i := range serial {
-			if len(par[i]) != len(serial[i]) {
-				t.Fatalf("workers=%d round %d: %d estimates, want %d", workers, i, len(par[i]), len(serial[i]))
-			}
-			for id, e := range serial[i] {
-				if pe := par[i][id]; pe.Pos != e.Pos || pe.FaceID != e.FaceID {
-					t.Fatalf("workers=%d round %d target %s: %v/%v, want %v/%v",
-						workers, i, id, pe.Pos, pe.FaceID, e.Pos, e.FaceID)
-				}
-			}
-		}
-	}
-}
-
-func TestMultiTrackerLocalizeGroupsParallelMatchesSerial(t *testing.T) {
-	cfg := defaultConfig(9)
-	s := &sampling.Sampler{Model: cfg.Model, Nodes: cfg.Nodes, Range: cfg.Range, Epsilon: cfg.Epsilon}
-	const targets = 5
-
-	run := func(workers int) map[string]Estimate {
-		m, err := NewMulti(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var agg map[string]Estimate
-		for i := 0; i < 8; i++ {
-			batch := make([]TargetGroup, targets)
-			for g := range batch {
-				batch[g] = TargetGroup{
-					ID: fmt.Sprintf("g%d", g),
-					Group: s.Sample(geom.Pt(20+float64(g*14), 30+float64(i*4)),
-						cfg.SamplingTimes, randx.New(7).SplitN("grp", i*targets+g)),
-				}
-			}
-			agg, err = m.LocalizeGroups(batch, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return agg
-	}
-
-	serial := run(1)
-	for _, workers := range []int{3, 0} {
-		par := run(workers)
-		for id, e := range serial {
-			if pe := par[id]; pe.Pos != e.Pos {
-				t.Fatalf("workers=%d target %s: %v, want %v", workers, id, pe.Pos, e.Pos)
-			}
-		}
-	}
-}
-
-func TestMultiTrackerLocalizeAllEmptyIDError(t *testing.T) {
+func TestMultiTrackerLocalizeBatchEmptyIDError(t *testing.T) {
 	cfg := defaultConfig(9)
 	m, _ := NewMulti(cfg)
-	_, err := m.LocalizeAll([]TargetPosition{{ID: "", Pos: geom.Pt(50, 50)}}, randx.New(1), 1)
+	_, err := m.LocalizeBatch([]LocalizeRequest{{ID: "", Pos: geom.Pt(50, 50), Rng: randx.New(1)}}, 1)
 	if err == nil {
 		t.Error("empty target ID in batch should fail")
 	}
@@ -369,7 +283,8 @@ func TestTrackParallelMatchesSerial(t *testing.T) {
 func TestLocalizeBatchMatchesSerial(t *testing.T) {
 	// The serving determinism contract: LocalizeBatch must be
 	// byte-identical to executing the requests one at a time in slice
-	// order, for every worker count — including batches where one target
+	// order, whatever workers argument it is given (it is ignored) —
+	// including batches where one target
 	// appears several times (per-target FIFO) and mixed Pos/Group
 	// requests.
 	cfg := defaultConfig(16)

@@ -130,7 +130,7 @@ func MatchCost(p Params, ns []int, locs int) ([]MatchCostRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex := &match.Exhaustive{Div: div}
+		ex := &match.Batch{Div: div, Exhaustive: true}
 		h := &match.Heuristic{Div: div}
 		sampler := &sampling.Sampler{Model: p.Model, Nodes: dep.Positions(), Range: p.Range, Epsilon: p.Epsilon}
 
@@ -246,7 +246,7 @@ func BoundaryAblation(p Params, ns []int) ([]BoundaryAblationRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				ex := &match.Exhaustive{Div: div}
+				ex := &match.Batch{Div: div, Exhaustive: true}
 				var prev *field.Face
 				var errs []float64
 				for i, g := range s.groups {
@@ -306,14 +306,14 @@ func EstimatorAblation(p Params, n int, ms []int) ([]EstimatorRow, error) {
 				SamplingTimes: p.K,
 				Range:         p.Range,
 				CellSize:      p.CellSize,
-				TopM:          m,
 			}
 			tr, err := core.New(cfg)
 			if err != nil {
 				return nil, err
 			}
+			top := match.WeightedTopM{Div: tr.Division(), M: m}
 			for i, g := range s.groups {
-				all = append(all, tr.LocalizeGroup(g).Pos.Dist(s.trace[i]))
+				all = append(all, top.Match(g.Vector(), nil).Estimate.Dist(s.trace[i]))
 			}
 		}
 		rows = append(rows, EstimatorRow{M: m, MeanErr: stats.Mean(all), StdDev: stats.StdDev(all)})

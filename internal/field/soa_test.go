@@ -100,7 +100,7 @@ func TestSoAPopcountDistance(t *testing.T) {
 			}
 		}
 		for f := range div.Faces {
-			// The serial matcher's squared distance: a float sum of the
+			// The float kernel's squared distance: a float sum of the
 			// per-component squared diffs in ascending pair order. All
 			// terms are small integers, so the float sum is exact and
 			// must equal the popcount integer bit for bit.

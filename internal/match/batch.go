@@ -8,140 +8,146 @@ import (
 	"fttt/internal/vector"
 )
 
-// Batch scores many sampling vectors per pass against the division's
-// structure-of-arrays signature store (field.SigSoA) and is
-// proven byte-identical to running the serial matchers lane by lane:
-// every lane reproduces Heuristic.Match (or Exhaustive.Match with
-// Exhaustive set) bit for bit — same face, same similarity, same
-// estimate, same Visited/Rounds/Tied/FellBack statistics — for any
-// batch size and any split of the same lanes across calls.
+// Batch is the matcher: one best-first search (Algorithm 2), one
+// exhaustive scan and one fallback, each scoring faces through the
+// lane's distance kernel against the division's structure-of-arrays
+// signature store (field.SigSoA). A lane is one (vector, warm start,
+// trust weights) query; Match and MatchWeighted score one lane,
+// MatchBatchWeighted many. Lanes are independent, so any regrouping of
+// the same lanes across calls produces identical bytes.
 //
-// Why it is faster than N serial matches: the hot operation is the
-// Def. 8 squared modified distance, and for the ternary/Star queries of
-// the Basic variant (the common case) the store's bitplanes collapse it
-// from a C(n,2)-iteration float64 loop to a handful of AND/OR/popcount
-// words — each component difference is 0, 1 or 4, so
+// Two kernels compute the Def. 8 squared modified distance:
 //
-//	d² = 4·|sign flips| + 1·|one-sided zeros|
+//   - The popcount kernel serves unweighted lanes whose components are
+//     all ternary or Star (the Basic variant, the common case). Each
+//     component difference is 0, 1 or 4, so the store's bitplanes
+//     collapse the C(n,2)-iteration sum to a handful of AND/OR/popcount
+//     words,
 //
-// counted 64 pairs at a time, and the float64 sum the serial matcher
-// computes is exactly this integer (all partial sums are small integers,
-// which float64 represents exactly regardless of association order).
-// Fractional (Def. 10) query lanes take a float path that replays the
-// serial operation order verbatim — no speedup, same bits.
+//     d² = 4·|sign flips| + 1·|one-sided zeros|,
 //
-// Like Heuristic, a Batch owns reusable scratch and is single-goroutine;
-// the Division (and its SoA store) is immutable and may be shared.
+//     counted 64 pairs at a time. The result is an exact small integer,
+//     equal to the float sum in any association order.
+//
+//   - The float kernel serves everything else: fractional (Def. 10)
+//     lanes and trust-weighted lanes (DESIGN.md §15), where
+//
+//     d²(v, sig; w) = Σ_k w[k]·(v[k] − sig[k])²   (stars contribute 0)
+//
+//     and a nil w is the unweighted sum (×1.0 is exact in IEEE
+//     arithmetic, so an all-ones w gives the same bits). It sums in
+//     ascending pair order and, with Incremental set, patches a
+//     neighbor's distance from its parent's along the per-link
+//     signature diffs, clamping rounding noise below zero.
+//
+// A Batch owns reusable scratch (visited-epoch marks, the frontier heap,
+// the query bitplanes, the tie list), so a warmed-up Batch scores
+// unweighted heuristic lanes with zero heap allocations. That makes it
+// single-goroutine; the Division (and its SoA store) is immutable and
+// may be shared.
 type Batch struct {
 	Div *field.Division
-	// Patience, Incremental, Fallback, FallbackBelow mirror Heuristic's
-	// knobs and must be set identically to the serial matcher a caller
-	// wants batch results to agree with.
-	Patience      int
-	Incremental   bool
-	Fallback      bool
+	// Incremental updates a float lane's neighbor distance from its
+	// parent's using the per-link signature diffs (Face.NeighborDiffs):
+	// O(|diff|) per hop instead of O(C(n,2)) — Theorem 1 says |diff| is
+	// usually 1. Popcount lanes always recompute; their sums are exact
+	// integers either way.
+	Incremental bool
+	// FallbackBelow, when positive, reruns an exhaustive scan whenever
+	// the search converges on a face whose similarity is below it. The
+	// paper's algorithm has no such escape; it is provided for the
+	// ablation study of DESIGN.md §5.
 	FallbackBelow float64
-	// Exhaustive selects per-lane Exhaustive.Match semantics (full face
-	// scan with tie averaging) instead of the Algorithm 2 search.
+	// Exhaustive scans every face per lane (with tie averaging) instead
+	// of running the Algorithm 2 search.
 	Exhaustive bool
 
-	// Per-lane heuristic search scratch, exactly Heuristic's shape.
-	seen     []uint32
-	epoch    uint32
+	// seen[id] == epoch marks face id as visited in the current search;
+	// bumping epoch invalidates the whole slice in O(1), so the scratch
+	// never needs clearing between lanes.
+	seen  []uint32
+	epoch uint32
+	// frontier is the reusable best-first heap storage.
 	frontier faceHeap
-	// Query bitplanes for the ternary integer kernel. qAny and qZero are
-	// derived per lane (qAny = qPos|qNeg, qZero = qMask&^qAny) so the hot
-	// loop does not recompute them per face.
-	qPos, qNeg, qMask, qAny, qZero []uint64
-	// ties is the exhaustive-mode tie scratch.
+	// pop is the popcount kernel with the current lane's query planes.
+	pop popKernel
+	// qMask is prepTernary's scratch: the query's non-Star components.
+	qMask []uint64
+	// ties is the exhaustive scan's tie scratch.
 	ties []*field.Face
 }
 
-// MatchBatch scores vs[i] warm-started from prevs[i] (nil for a cold
-// start; prevs itself may be nil for all-cold batches) and appends one
-// Result per lane to dst, which is returned. Lanes are independent:
-// result i depends only on (vs[i], prevs[i]), so any regrouping of the
-// same lanes across calls produces identical bytes. Steady-state the
-// call performs zero heap allocations when dst has capacity (heuristic
-// mode; exhaustive tie averaging allocates like the serial matcher
-// does).
-func (b *Batch) MatchBatch(dst []Result, vs []vector.Vector, prevs []*field.Face) []Result {
+// Heuristic is the name the Algorithm 2 matcher went by before Batch
+// served every lane; a Heuristic is a Batch.
+type Heuristic = Batch
+
+// Match finds the face best matching v. prev is the face returned by
+// the previous localization, or nil for the first one, which starts
+// from the division's middle face (Algorithm 2's Initialization()).
+func (b *Batch) Match(v vector.Vector, prev *field.Face) Result {
+	return b.MatchWeighted(v, prev, nil)
+}
+
+// MatchWeighted is Match with a per-pair trust weight vector; a nil w
+// is the unweighted match.
+func (b *Batch) MatchWeighted(v vector.Vector, prev *field.Face, w []float64) Result {
+	ternary := w == nil && b.prepTernary(v)
+	if b.Exhaustive {
+		return b.scan(v, w, ternary)
+	}
+	best, visited, rounds := b.search(v, prev, w, ternary)
+	sim := simOf(best.d2)
+	if sim < b.FallbackBelow {
+		r := b.scan(v, w, ternary)
+		r.Visited += visited
+		r.Rounds = rounds
+		r.FellBack = true
+		return r
+	}
+	// The search returns a single face; ties among distant faces are not
+	// visible to the local search, matching Algorithm 2.
+	return finish(&b.Div.Faces[best.id], nil, sim, visited, rounds)
+}
+
+// MatchBatchWeighted scores vs[i] warm-started from prevs[i] with trust
+// weights ws[i] and appends one Result per lane to dst, which is
+// returned. prevs and ws may be nil (all lanes cold, all lanes
+// unweighted), as may any entry of them. Result i depends only on
+// (vs[i], prevs[i], ws[i]).
+func (b *Batch) MatchBatchWeighted(dst []Result, vs []vector.Vector, prevs []*field.Face, ws [][]float64) []Result {
 	for i := range vs {
 		var prev *field.Face
 		if prevs != nil {
 			prev = prevs[i]
 		}
-		dst = append(dst, b.matchOne(vs[i], prev))
+		var w []float64
+		if ws != nil {
+			w = ws[i]
+		}
+		dst = append(dst, b.MatchWeighted(vs[i], prev, w))
 	}
 	return dst
 }
 
-// matchOne scores a single lane.
-func (b *Batch) matchOne(v vector.Vector, prev *field.Face) Result {
-	ternary := b.prepTernary(v)
-	if b.Exhaustive {
-		return b.matchExhaustive(v, ternary)
-	}
-	return b.matchHeuristic(v, prev, ternary)
+// popKernel is the popcount kernel over the store's bitplanes (words
+// uint64s per face): pos/neg mark the face's +1/−1 codes, qp/qn the
+// query's, qa = qp|qn its nonzero components and qz its zero
+// components. qa and qz are derived once per lane so the hot loop does
+// not recompute them per face.
+type popKernel struct {
+	words          int
+	pos, neg       []uint64
+	qp, qn, qa, qz []uint64
 }
 
-// prepTernary classifies the lane: when every component is ternary or
-// Star, it fills the query bitplanes and selects the integer kernel.
-// Fractional components (Def. 10) select the float kernel.
-func (b *Batch) prepTernary(v vector.Vector) bool {
-	words := b.Div.SoA().Words
-	if cap(b.qPos) < words {
-		b.qPos = make([]uint64, words)
-		b.qNeg = make([]uint64, words)
-		b.qMask = make([]uint64, words)
-		b.qAny = make([]uint64, words)
-		b.qZero = make([]uint64, words)
-	}
-	qp := b.qPos[:words]
-	qn := b.qNeg[:words]
-	qm := b.qMask[:words]
-	for w := 0; w < words; w++ {
-		qp[w], qn[w], qm[w] = 0, 0, 0
-	}
-	for k, x := range v {
-		switch {
-		case x.IsStar():
-		case x == vector.Nearer:
-			qm[k/64] |= 1 << (k % 64)
-			qp[k/64] |= 1 << (k % 64)
-		case x == vector.Farther:
-			qm[k/64] |= 1 << (k % 64)
-			qn[k/64] |= 1 << (k % 64)
-		case x == vector.Flipped:
-			qm[k/64] |= 1 << (k % 64)
-		default:
-			return false
-		}
-	}
-	qa := b.qAny[:words]
-	qz := b.qZero[:words]
-	for w := 0; w < words; w++ {
-		a := qp[w] | qn[w]
-		qa[w] = a
-		qz[w] = qm[w] &^ a
-	}
-	return true
-}
-
-// intD2 is the bitplane kernel: the squared modified distance of the
-// prepared ternary query against face f. Components where the query is
-// Star (outside the query mask) contribute 0; a +1/−1 sign flip
-// contributes 4; a one-sided zero contributes 1. The result is an
-// integer, and equals the serial float64 accumulation bit for bit.
-func (b *Batch) intD2(f int) float64 {
-	soa := b.Div.SoA()
-	base := f * soa.Words
-	pos := soa.PosBits[base : base+soa.Words]
-	neg := soa.NegBits[base : base+soa.Words]
-	qp := b.qPos[:soa.Words]
-	qn := b.qNeg[:soa.Words]
-	qa := b.qAny[:soa.Words]
-	qz := b.qZero[:soa.Words]
+// d2 is face f's distance to the query: a component where the query is
+// Star (outside the query mask) contributes 0, a +1/−1 sign flip 4, a
+// one-sided zero 1.
+func (k *popKernel) d2(f int) float64 {
+	base := f * k.words
+	pos := k.pos[base : base+k.words]
+	neg := k.neg[base : base+k.words]
+	qp, qn, qa, qz := k.qp[:len(pos)], k.qn[:len(pos)], k.qa[:len(pos)], k.qz[:len(pos)]
 	var c4, c1 int
 	for w := range pos {
 		sp, sn := pos[w], neg[w]
@@ -152,151 +158,107 @@ func (b *Batch) intD2(f int) float64 {
 	return float64(4*c4 + c1)
 }
 
-// laneD2 dispatches the full-distance computation for the lane's
-// kernel: the bitplanes, or for fractional-query lanes the serial dist2
-// loop, whose operation order bitwise identity requires.
-func (b *Batch) laneD2(v vector.Vector, f int, ternary bool) float64 {
-	if ternary {
-		return b.intD2(f)
+// prepTernary classifies the lane: when every component is ternary or
+// Star, it fills the popcount kernel's query planes and selects it.
+// Fractional components (Def. 10) select the float kernel.
+func (b *Batch) prepTernary(v vector.Vector) bool {
+	soa := b.Div.SoA()
+	words := soa.Words
+	k := &b.pop
+	if cap(k.qp) < words {
+		planes := make([]uint64, 5*words)
+		k.qp, k.qn = planes[:words:words], planes[words:2*words:2*words]
+		k.qa, k.qz = planes[2*words:3*words:3*words], planes[3*words:4*words:4*words]
+		b.qMask = planes[4*words:]
 	}
-	return dist2(v, b.Div.Faces[f].Signature)
+	k.words, k.pos, k.neg = words, soa.PosBits, soa.NegBits
+	qp, qn, qm := k.qp[:words], k.qn[:words], b.qMask[:words]
+	for w := 0; w < words; w++ {
+		qp[w], qn[w], qm[w] = 0, 0, 0
+	}
+	for i, x := range v {
+		switch {
+		case x.IsStar():
+		case x == vector.Nearer:
+			qm[i/64] |= 1 << (i % 64)
+			qp[i/64] |= 1 << (i % 64)
+		case x == vector.Farther:
+			qm[i/64] |= 1 << (i % 64)
+			qn[i/64] |= 1 << (i % 64)
+		case x == vector.Flipped:
+			qm[i/64] |= 1 << (i % 64)
+		default:
+			return false
+		}
+	}
+	qa, qz := k.qa[:words], k.qz[:words]
+	for w := 0; w < words; w++ {
+		a := qp[w] | qn[w]
+		qa[w] = a
+		qz[w] = qm[w] &^ a
+	}
+	return true
 }
 
-// matchHeuristic replays Heuristic.Match over the SoA store: identical
-// control flow (best-first frontier, patience stall counter, epoch-
-// stamped seen marks, neighbor expansion order), with the distance
-// computations swapped for the lane's kernel.
-//
-// Integer lanes recompute each neighbor's d² with the bitplane kernel
-// even when Incremental is set: the serial incremental patch is exact
-// integer arithmetic there (every term and partial sum is a small
-// integer), so patched and recomputed values agree bit for bit. Float
-// lanes replay the serial incremental patch — including its clamp of
-// rounding noise below zero — term by term.
-func (b *Batch) matchHeuristic(v vector.Vector, prev *field.Face, ternary bool) Result {
+// d2 is the lane's distance to face f: the popcount kernel for a
+// ternary lane, the float kernel otherwise.
+func (b *Batch) d2(v vector.Vector, w []float64, f int, ternary bool) float64 {
+	if ternary {
+		return b.pop.d2(f)
+	}
+	return floatD2(v, b.Div.Faces[f].Signature, w)
+}
+
+// floatD2 is the float kernel: the squared modified distance of Def. 8
+// between v and a face's signature codes, each term scaled by w[k] (nil
+// w = unweighted), summed in ascending pair order.
+func floatD2(v vector.Vector, sig []int8, w []float64) float64 {
+	var sum float64
+	v = v[:len(sig)]
+	for k, c := range sig {
+		if !v[k].IsStar() {
+			sum += term(v[k], c, w, k)
+		}
+	}
+	return sum
+}
+
+// term is one non-Star component's contribution to floatD2.
+func term(a vector.Value, c int8, w []float64, k int) float64 {
+	d := float64(a) - float64(c)
+	if w == nil {
+		return d * d
+	}
+	return w[k] * (d * d)
+}
+
+// search is Algorithm 2 as a bounded best-first search. Instead of the
+// paper's strictly-improving hill climb — which stalls on the
+// similarity plateaus that flipped components create — faces are
+// expanded in increasing distance order, and the search stops once
+// patience consecutive expansions fail to improve on the best face
+// seen. This keeps the local, O(n²)-per-localization character of
+// Algorithm 2 while tolerating plateaus.
+func (b *Batch) search(v vector.Vector, prev *field.Face, w []float64, ternary bool) (best faceEntry, visited, rounds int) {
 	div := b.Div
 	start := prev
 	if start == nil {
 		start = div.FaceAt(div.Field.Center())
 	}
-	patience := b.Patience
-	if patience <= 0 {
-		patience = 24
-	}
-
 	if len(b.seen) != len(div.Faces) {
 		b.seen = make([]uint32, len(div.Faces))
 		b.epoch = 0
 	}
 	b.epoch++
 	if b.epoch == 0 { // epoch wrapped: clear the stale marks once
-		for i := range b.seen {
-			b.seen[i] = 0
-		}
+		clear(b.seen)
 		b.epoch = 1
 	}
-	epoch := b.epoch
-	b.seen[start.ID] = epoch
-
-	var best faceEntry
-	var visited, rounds int
-	if ternary {
-		best, visited, rounds = b.searchTernary(start, patience, epoch)
-	} else {
-		best, visited, rounds = b.searchFloat(v, start, patience, epoch)
-	}
-	curSim := math.Inf(1)
-	if best.d2 > 0 {
-		curSim = 1 / math.Sqrt(best.d2)
-	}
-	if b.Fallback && curSim < b.FallbackBelow {
-		r := b.matchExhaustive(v, ternary)
-		r.Visited += visited
-		r.Rounds = rounds
-		r.FellBack = true
-		return r
-	}
-	return finish(&div.Faces[best.id], nil, curSim, visited, rounds)
-}
-
-// searchTernary is the Algorithm 2 frontier loop specialized for the
-// bitplane kernel: slice headers and query planes are hoisted out of the
-// loop and the popcount distance is written inline at both evaluation
-// sites (the inliner refuses function bodies with loops on this hot
-// path). Control flow is exactly searchFloat's — same frontier, same
-// patience, same seen marks — so results stay bitwise serial-identical.
-func (b *Batch) searchTernary(start *field.Face, patience int, epoch uint32) (best faceEntry, visited, rounds int) {
-	div := b.Div
-	soa := div.SoA()
-	words := soa.Words
-	posAll, negAll := soa.PosBits, soa.NegBits
-	qp := b.qPos[:words]
-	qn := b.qNeg[:words]
-	qa := b.qAny[:words]
-	qz := b.qZero[:words]
-	seen := b.seen
-
-	base := start.ID * words
-	pos := posAll[base : base+words]
-	neg := negAll[base : base+words]
-	var c4, c1 int
-	for w := range pos {
-		sp, sn := pos[w], neg[w]
-		c4 += bits.OnesCount64((qp[w] & sn) | (qn[w] & sp))
-		s := sp | sn
-		c1 += bits.OnesCount64((qz[w] & s) | (qa[w] &^ s))
-	}
+	epoch, seen := b.epoch, b.seen
+	seen[start.ID] = epoch
 
 	h := b.frontier[:0]
-	h = h.push(faceEntry{d2: float64(4*c4 + c1), id: start.ID})
-	best = h[0]
-	visited = 1
-	stall := 0
-	for len(h) > 0 && stall < patience {
-		var e faceEntry
-		h, e = h.pop()
-		rounds++
-		if e.d2 < best.d2 {
-			best = e
-			stall = 0
-		} else {
-			stall++
-		}
-		if best.d2 == 0 {
-			break // exact match cannot be beaten
-		}
-		for _, nb := range div.Faces[e.id].Neighbors {
-			if seen[nb] == epoch {
-				continue
-			}
-			seen[nb] = epoch
-			visited++
-			base := nb * words
-			pos := posAll[base : base+words]
-			neg := negAll[base : base+words]
-			var c4, c1 int
-			for w := range pos {
-				sp, sn := pos[w], neg[w]
-				c4 += bits.OnesCount64((qp[w] & sn) | (qn[w] & sp))
-				s := sp | sn
-				c1 += bits.OnesCount64((qz[w] & s) | (qa[w] &^ s))
-			}
-			h = h.push(faceEntry{d2: float64(4*c4 + c1), id: nb})
-		}
-	}
-	b.frontier = h[:0] // retain the grown backing array for the next lane
-	return best, visited, rounds
-}
-
-// searchFloat is the frontier loop for fractional (Def. 10) query lanes:
-// it replays the serial operation order verbatim — full distance for
-// cold evaluations, the incremental per-link patch (with its clamp
-// of rounding noise below zero) when enabled — so float lanes agree with
-// the serial matcher bit for bit.
-func (b *Batch) searchFloat(v vector.Vector, start *field.Face, patience int, epoch uint32) (best faceEntry, visited, rounds int) {
-	div := b.Div
-	h := b.frontier[:0]
-	h = h.push(faceEntry{d2: dist2(v, start.Signature), id: start.ID})
+	h = h.push(faceEntry{d2: b.d2(v, w, start.ID, ternary), id: start.ID})
 	best = h[0]
 	visited = 1
 	stall := 0
@@ -315,24 +277,29 @@ func (b *Batch) searchFloat(v vector.Vector, start *field.Face, patience int, ep
 		}
 		face := &div.Faces[e.id]
 		for ni, nb := range face.Neighbors {
-			if b.seen[nb] == epoch {
+			if seen[nb] == epoch {
 				continue
 			}
-			b.seen[nb] = epoch
+			seen[nb] = epoch
 			visited++
 			var d2 float64
-			if b.Incremental && face.NeighborDiffs != nil {
-				// The serial per-link patch, replayed.
+			switch {
+			case ternary:
+				d2 = b.pop.d2(nb)
+			case b.Incremental && face.NeighborDiffs != nil:
+				// Patch only the components that differ across the link.
 				d2 = e.d2
 				nbSig := div.Faces[nb].Signature
 				for _, k := range face.NeighborDiffs[ni] {
-					d2 += term(v[k], nbSig[k]) - term(v[k], face.Signature[k])
+					if !v[k].IsStar() {
+						d2 += term(v[k], nbSig[k], w, k) - term(v[k], face.Signature[k], w, k)
+					}
 				}
 				if d2 < 0 { // guard against rounding just below zero
 					d2 = 0
 				}
-			} else {
-				d2 = dist2(v, div.Faces[nb].Signature)
+			default:
+				d2 = floatD2(v, div.Faces[nb].Signature, w)
 			}
 			h = h.push(faceEntry{d2: d2, id: nb})
 		}
@@ -341,21 +308,16 @@ func (b *Batch) searchFloat(v vector.Vector, start *field.Face, patience int, ep
 	return best, visited, rounds
 }
 
-// matchExhaustive replays Exhaustive.Match over the store: for each
-// face the Def. 7 similarity is 1/√d², computed from the lane kernel's
-// d² — which equals the serial ordered float sum bit for bit — so the
-// winner, the tie set and the averaged estimate are all identical.
-func (b *Batch) matchExhaustive(v vector.Vector, ternary bool) Result {
+// scan is the exhaustive match: every face's Def. 7 similarity from the
+// lane kernel's d², the maximum-similarity faces tied and their
+// centroids averaged.
+func (b *Batch) scan(v vector.Vector, w []float64, ternary bool) Result {
 	div := b.Div
 	best := math.Inf(-1)
 	var winner *field.Face
 	ties := b.ties[:0]
 	for i := range div.Faces {
-		d := math.Sqrt(b.laneD2(v, i, ternary))
-		s := math.Inf(1)
-		if d != 0 {
-			s = 1 / d
-		}
+		s := simOf(b.d2(v, w, i, ternary))
 		switch {
 		case s > best:
 			best = s

@@ -15,7 +15,7 @@ import (
 )
 
 // requireIdenticalResult asserts two Results agree bit for bit — the
-// MatchBatch contract. Similarity and the estimate coordinates are
+// engine's differential contract. Similarity and the estimate coordinates are
 // compared through Float64bits so a "same value, different rounding
 // path" drift cannot hide behind ==.
 func requireIdenticalResult(t *testing.T, label string, want, got Result) {
@@ -81,9 +81,9 @@ func batchProbes(t *testing.T, div *field.Division, nodes []geom.Point, seed uin
 }
 
 // TestMatchBatchEquivalentHeuristic is the headline differential: batch
-// results must be byte-identical to the serial Heuristic across warm
-// starts, incremental on/off, and every way of splitting the same lanes
-// into batches.
+// results must be byte-identical to the serial reference search
+// (reference_test.go) across warm starts, incremental on/off, and every
+// way of splitting the same lanes into batches.
 func TestMatchBatchEquivalentHeuristic(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	if div.SoA() == nil {
@@ -93,17 +93,17 @@ func TestMatchBatchEquivalentHeuristic(t *testing.T) {
 	vs, prevs := batchProbes(t, div, nodes, 42, 48)
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
-			serial := &Heuristic{Div: div, Incremental: incremental}
+			serial := &refHeuristic{Div: div, Incremental: incremental}
 			want := make([]Result, len(vs))
 			for i := range vs {
-				want[i] = serial.Match(vs[i], prevs[i])
+				want[i] = serial.MatchWeighted(vs[i], prevs[i], nil)
 			}
 			b := &Batch{Div: div, Incremental: incremental}
 			for _, split := range []int{len(vs), 1, 7} {
 				var got []Result
 				for lo := 0; lo < len(vs); lo += split {
 					hi := min(lo+split, len(vs))
-					got = b.MatchBatch(got, vs[lo:hi], prevs[lo:hi])
+					got = b.MatchBatchWeighted(got, vs[lo:hi], prevs[lo:hi], nil)
 				}
 				for i := range vs {
 					requireIdenticalResult(t, fmt.Sprintf("split=%d lane=%d", split, i), want[i], got[i])
@@ -120,12 +120,12 @@ func TestMatchBatchEquivalentExhaustive(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	nodes := gridNodes(t, 16)
 	vs, prevs := batchProbes(t, div, nodes, 7, 48)
-	ex := &Exhaustive{Div: div}
+	ex := &refExhaustive{Div: div}
 	b := &Batch{Div: div, Exhaustive: true}
-	got := b.MatchBatch(nil, vs, prevs)
+	got := b.MatchBatchWeighted(nil, vs, prevs, nil)
 	sawTie := false
 	for i := range vs {
-		want := ex.Match(vs[i], prevs[i])
+		want := ex.MatchWeighted(vs[i], prevs[i], nil)
 		requireIdenticalResult(t, fmt.Sprintf("lane=%d", i), want, got[i])
 		if want.Tied > 1 {
 			sawTie = true
@@ -142,12 +142,12 @@ func TestMatchBatchEquivalentFallback(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	nodes := gridNodes(t, 16)
 	vs, prevs := batchProbes(t, div, nodes, 11, 24)
-	serial := &Heuristic{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
-	b := &Batch{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
-	got := b.MatchBatch(nil, vs, prevs)
+	serial := &refHeuristic{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
+	b := &Batch{Div: div, Incremental: true, FallbackBelow: 1e9}
+	got := b.MatchBatchWeighted(nil, vs, prevs, nil)
 	fellBack := 0
 	for i := range vs {
-		want := serial.Match(vs[i], prevs[i])
+		want := serial.MatchWeighted(vs[i], prevs[i], nil)
 		if want.FellBack {
 			fellBack++ // exact-signature lanes (+Inf similarity) never fall back
 		}
@@ -164,27 +164,25 @@ func gridNodes(t *testing.T, n int) []geom.Point {
 	return deploy.Grid(fieldRect, n).Positions()
 }
 
-// BenchmarkMatchBatch64 prices one MatchBatch pass over 64 ternary
-// lanes on the paper-sized fixture; compare per-vector against
-// BenchmarkMatchSerial64 (the same 64 lanes, serial Heuristic) for the
-// layout speedup the perfbench match/heuristic-batch64 scenario gates.
+// BenchmarkMatchBatch64 prices one MatchBatchWeighted pass over 64
+// ternary lanes on the paper-sized fixture (the perfbench
+// match/heuristic-batch64 configuration).
 func BenchmarkMatchBatch64(b *testing.B) {
 	vs, prevs, div := benchLanes64(b)
 	m := &Batch{Div: div, Incremental: true}
-	out := m.MatchBatch(nil, vs, prevs) // warm scratch + result capacity
+	out := m.MatchBatchWeighted(nil, vs, prevs, nil) // warm scratch + result capacity
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = m.MatchBatch(out[:0], vs, prevs)
+		out = m.MatchBatchWeighted(out[:0], vs, prevs, nil)
 	}
 	sink = out
 }
 
-// BenchmarkMatchSerial64 runs the same 64 lanes through the default
-// serial Heuristic (the match/heuristic perfbench configuration);
-// BenchmarkMatchSerialIncr64 through the incremental variant. The
-// batch-vs-serial per-vector ratio these report is the >4× layout claim
-// in EXPERIMENTS.md.
+// BenchmarkMatchSerial64 runs the same 64 lanes one Match call at a
+// time (the match/heuristic perfbench configuration);
+// BenchmarkMatchSerialIncr64 with Incremental set. Ternary lanes take
+// the popcount kernel either way, so all three report the same kernel.
 func BenchmarkMatchSerial64(b *testing.B) {
 	benchSerial64(b, false)
 }
@@ -245,11 +243,11 @@ func TestMatchBatchResultSliceReuse(t *testing.T) {
 	nodes := gridNodes(t, 9)
 	vs, prevs := batchProbes(t, div, nodes, 3, 8)
 	b := &Batch{Div: div, Incremental: true}
-	first := b.MatchBatch(nil, vs, prevs)
+	first := b.MatchBatchWeighted(nil, vs, prevs, nil)
 	snapshot := make([]Result, len(first))
 	copy(snapshot, first)
-	_ = b.MatchBatch(first[:0], vs, prevs)
-	again := b.MatchBatch(nil, vs, prevs)
+	_ = b.MatchBatchWeighted(first[:0], vs, prevs, nil)
+	again := b.MatchBatchWeighted(nil, vs, prevs, nil)
 	for i := range again {
 		requireIdenticalResult(t, fmt.Sprintf("lane=%d", i), snapshot[i], again[i])
 	}

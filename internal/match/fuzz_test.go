@@ -48,7 +48,8 @@ func decodeValue(b byte) vector.Value {
 // FuzzMatchBatchEquivalence is the batch matcher's differential fuzz
 // target: arbitrary legal sampling vectors (ternary, Star and Def. 10
 // fractional values), arbitrary warm starts, batch sizes and split
-// points must produce results byte-identical to the serial matchers —
+// points must produce results byte-identical to the serial reference
+// matchers (reference_test.go) —
 // same face IDs, bitwise-equal similarity and estimate, same search
 // statistics — in both heuristic and exhaustive modes.
 func FuzzMatchBatchEquivalence(f *testing.F) {
@@ -79,14 +80,14 @@ func FuzzMatchBatchEquivalence(f *testing.F) {
 
 		want := make([]Result, lanes)
 		if exhaustive {
-			ex := &Exhaustive{Div: div}
+			ex := &refExhaustive{Div: div}
 			for l := range vs {
-				want[l] = ex.Match(vs[l], prevs[l])
+				want[l] = ex.MatchWeighted(vs[l], prevs[l], nil)
 			}
 		} else {
-			serial := &Heuristic{Div: div, Incremental: true}
+			serial := &refHeuristic{Div: div, Incremental: true}
 			for l := range vs {
-				want[l] = serial.Match(vs[l], prevs[l])
+				want[l] = serial.MatchWeighted(vs[l], prevs[l], nil)
 			}
 		}
 
@@ -99,7 +100,7 @@ func FuzzMatchBatchEquivalence(f *testing.F) {
 			if lo == hi {
 				continue
 			}
-			got := b.MatchBatch(nil, vs[lo:hi], prevs[lo:hi])
+			got := b.MatchBatchWeighted(nil, vs[lo:hi], prevs[lo:hi], nil)
 			for l := range got {
 				w, g := want[lo+l], got[l]
 				if w.Face != g.Face ||
@@ -137,7 +138,7 @@ func FuzzHeuristicMatch(f *testing.F) {
 			}
 		}
 
-		ex := (&Exhaustive{Div: div}).Match(v, nil)
+		ex := (&refExhaustive{Div: div}).MatchWeighted(v, nil, nil)
 		if ex.Face == nil || ex.Face.ID < 0 || ex.Face.ID >= div.NumFaces() {
 			t.Fatalf("exhaustive returned face %+v", ex.Face)
 		}

@@ -1,17 +1,18 @@
 // Package match locates the face whose signature vector best matches a
 // sampling vector — the maximum-likelihood matching of Sec. 4.4.
 //
-// Two matchers are provided. Exhaustive scans every face, the O(n⁴)
-// ergodic process the paper starts from. Heuristic implements
-// Algorithm 2: hill-climb along neighbor-face links from a warm-start
-// face (the previous localization during continuous tracking), which the
-// paper shows drops the time complexity to O(n²). Both report search
-// statistics so the benches can reproduce the complexity comparison.
+// Batch is the one matcher. By default it runs Algorithm 2: a search
+// along neighbor-face links from a warm-start face (the previous
+// localization during continuous tracking), which the paper shows drops
+// the time complexity to O(n²). With Exhaustive set it scans every
+// face, the O(n⁴) ergodic process the paper starts from. Both report
+// search statistics so the benches can reproduce the complexity
+// comparison. WeightedTopM is the estimator ablation's top-M scan.
 //
 // Concurrency: a Division is immutable after construction and may be
-// shared freely. Exhaustive and WeightedTopM are stateless and safe for
-// concurrent use; Heuristic owns per-matcher search scratch and is
-// single-goroutine — give each goroutine (each Tracker) its own instance.
+// shared freely. WeightedTopM is stateless and safe for concurrent use;
+// Batch owns per-matcher search scratch and is single-goroutine — give
+// each goroutine (each Tracker) its own instance.
 package match
 
 import (
@@ -44,81 +45,9 @@ type Result struct {
 	FellBack bool
 }
 
-// Matcher locates the best face for a sampling vector.
-type Matcher interface {
-	// Match finds the face best matching v. prev is the face returned by
-	// the previous localization, or nil for the first one; matchers may
-	// use it as a warm start.
-	Match(v vector.Vector, prev *field.Face) Result
-}
-
-// Exhaustive scans all faces of the division. It is stateless and safe
-// for concurrent use over a shared Division.
-type Exhaustive struct {
-	Div *field.Division
-}
-
-// Match implements Matcher.
-func (m *Exhaustive) Match(v vector.Vector, _ *field.Face) Result {
-	best := math.Inf(-1)
-	var winner *field.Face
-	var ties []*field.Face
-	for i := range m.Div.Faces {
-		f := &m.Div.Faces[i]
-		s := simOf(dist2(v, f.Signature))
-		switch {
-		case s > best:
-			best = s
-			winner = f
-			ties = ties[:0]
-		case s == best:
-			ties = append(ties, f)
-		}
-	}
-	return finish(winner, ties, best, len(m.Div.Faces), 0)
-}
-
-// Heuristic searches along neighbor-face links from a warm start
-// (Algorithm 2). Instead of the paper's strictly-improving hill climb —
-// which stalls on the similarity plateaus that flipped components create —
-// it runs a bounded best-first search: faces are expanded in decreasing
-// similarity order, and the search stops once Patience consecutive
-// expansions fail to improve on the best face seen. This keeps the local,
-// O(n²)-per-localization character of Algorithm 2 while tolerating
-// plateaus; Patience = 0 selects a default of 24.
-//
-// A Heuristic owns reusable search scratch (a visited-epoch slice and the
-// frontier heap), so Match performs no heap allocations after the first
-// call. That makes a Heuristic single-goroutine: give each goroutine its
-// own matcher (the Division it points at may be shared — matchers only
-// read it).
-type Heuristic struct {
-	Div *field.Division
-	// Patience is how many consecutive non-improving expansions the
-	// search tolerates before stopping.
-	Patience int
-	// Incremental updates a neighbor's match distance from its parent's
-	// using the per-link signature diffs (Face.NeighborDiffs): O(|diff|)
-	// per hop instead of O(C(n,2)) — Theorem 1 says |diff| is usually 1.
-	// Results are identical up to floating-point association order.
-	Incremental bool
-	// Fallback, when true, reruns an exhaustive scan whenever the search
-	// converges on a face whose similarity is below FallbackBelow. The
-	// paper's algorithm has no such escape; it is provided for the
-	// ablation study of DESIGN.md §5.
-	Fallback bool
-	// FallbackBelow is the similarity threshold that triggers the
-	// fallback; a face that matches at least this well is accepted.
-	FallbackBelow float64
-
-	// seen[id] == epoch marks face id as visited in the current Match;
-	// bumping epoch invalidates the whole slice in O(1), so the scratch
-	// never needs clearing between calls.
-	seen  []uint32
-	epoch uint32
-	// frontier is the reusable best-first heap storage.
-	frontier faceHeap
-}
+// patience is how many consecutive non-improving expansions the
+// best-first search tolerates before stopping.
+const patience = 24
 
 // faceHeap is a min-heap of (squared distance, faceID) entries ordered by
 // d2. Push/pop are open-coded (no container/heap) to avoid the interface
@@ -171,120 +100,19 @@ func (h faceHeap) pop() (faceHeap, faceEntry) {
 	return h, top
 }
 
-// dist2 is the squared modified distance of Def. 8 between v and a
-// face's signature codes (query stars contribute 0).
-func dist2(v vector.Vector, sig []int8) float64 {
-	var sum float64
-	v = v[:len(sig)]
-	for k, c := range sig {
-		if v[k].IsStar() {
-			continue
-		}
-		d := float64(v[k]) - float64(c)
-		sum += d * d
+// simOf converts a squared distance to the Def. 7 similarity (+Inf on
+// an exact match). Every scan and search funnels through this one
+// expression so the bits agree.
+func simOf(d2 float64) float64 {
+	if d2 > 0 {
+		return 1 / math.Sqrt(d2)
 	}
-	return sum
+	return math.Inf(1)
 }
 
-// term is one component's contribution to dist2.
-func term(a vector.Value, c int8) float64 {
-	if a.IsStar() {
-		return 0
-	}
-	d := float64(a) - float64(c)
-	return d * d
-}
-
-// Match implements Matcher. With a nil prev it starts from the division's
-// middle face (Algorithm 2's Initialization()).
-func (m *Heuristic) Match(v vector.Vector, prev *field.Face) Result {
-	start := prev
-	if start == nil {
-		start = m.Div.FaceAt(m.Div.Field.Center())
-	}
-	patience := m.Patience
-	if patience <= 0 {
-		patience = 24
-	}
-
-	if len(m.seen) != len(m.Div.Faces) {
-		m.seen = make([]uint32, len(m.Div.Faces))
-		m.epoch = 0
-	}
-	m.epoch++
-	if m.epoch == 0 { // epoch wrapped: clear the stale marks once
-		for i := range m.seen {
-			m.seen[i] = 0
-		}
-		m.epoch = 1
-	}
-	epoch := m.epoch
-	m.seen[start.ID] = epoch
-
-	h := m.frontier[:0]
-	h = h.push(faceEntry{d2: dist2(v, start.Signature), id: start.ID})
-	best := h[0]
-	visited := 1
-	rounds := 0
-	stall := 0
-	for len(h) > 0 && stall < patience {
-		var e faceEntry
-		h, e = h.pop()
-		rounds++
-		if e.d2 < best.d2 {
-			best = e
-			stall = 0
-		} else {
-			stall++
-		}
-		if best.d2 == 0 {
-			break // exact match cannot be beaten
-		}
-		face := &m.Div.Faces[e.id]
-		for ni, nb := range face.Neighbors {
-			if m.seen[nb] == epoch {
-				continue
-			}
-			m.seen[nb] = epoch
-			visited++
-			var d2 float64
-			if m.Incremental && face.NeighborDiffs != nil {
-				// Patch only the components that differ across the link.
-				d2 = e.d2
-				nbSig := m.Div.Faces[nb].Signature
-				for _, k := range face.NeighborDiffs[ni] {
-					d2 += term(v[k], nbSig[k]) - term(v[k], face.Signature[k])
-				}
-				if d2 < 0 { // guard against rounding just below zero
-					d2 = 0
-				}
-			} else {
-				d2 = dist2(v, m.Div.Faces[nb].Signature)
-			}
-			h = h.push(faceEntry{d2: d2, id: nb})
-		}
-	}
-	m.frontier = h[:0] // retain the grown backing array for the next call
-	curSim := math.Inf(1)
-	if best.d2 > 0 {
-		curSim = 1 / math.Sqrt(best.d2)
-	}
-	if m.Fallback && curSim < m.FallbackBelow {
-		ex := Exhaustive{Div: m.Div}
-		r := ex.Match(v, nil)
-		r.Visited += visited
-		r.Rounds = rounds
-		r.FellBack = true
-		return r
-	}
-	// The search returns a single face; ties among distant faces are not
-	// visible to the local search, matching Algorithm 2.
-	return finish(&m.Div.Faces[best.id], nil, curSim, visited, rounds)
-}
-
-// WeightedTopM scans all faces like Exhaustive but estimates the target
-// position as the similarity-weighted mean of the M best faces'
-// centroids instead of the single argmax. Face-matching errors are
+// WeightedTopM scans all faces like an Exhaustive Batch but estimates
+// the target position as the similarity-weighted mean of the M best
+// faces' centroids instead of the single argmax. Face-matching errors are
 // discrete jumps between candidate faces; averaging over the top
 // candidates trades a little bias for much less jump variance — the
 // estimator ablation of DESIGN.md §5 quantifies the effect against the
@@ -295,8 +123,9 @@ type WeightedTopM struct {
 	M int
 }
 
-// Match implements Matcher.
-func (m *WeightedTopM) Match(v vector.Vector, _ *field.Face) Result {
+// Match scores every face against v and returns the top-M estimate.
+// The previous face is ignored: the scan has no warm start.
+func (m WeightedTopM) Match(v vector.Vector, _ *field.Face) Result {
 	mm := m.M
 	if mm < 1 {
 		mm = 1
@@ -308,11 +137,11 @@ func (m *WeightedTopM) Match(v vector.Vector, _ *field.Face) Result {
 	}
 	top := make([]cand, 0, mm)
 	// Track how many faces share the maximum similarity, so Tied reports
-	// the true tie count like Exhaustive does.
+	// the true tie count like the exhaustive scan does.
 	best := math.Inf(-1)
 	ties := 0
 	for i := range m.Div.Faces {
-		s := simOf(dist2(v, m.Div.Faces[i].Signature))
+		s := simOf(floatD2(v, m.Div.Faces[i].Signature, nil))
 		switch {
 		case s > best:
 			best, ties = s, 1

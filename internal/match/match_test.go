@@ -42,7 +42,7 @@ func buildDivisionClassifier(t testing.TB, n int, cell float64) (*field.Division
 
 func TestExhaustiveFindsExactSignature(t *testing.T) {
 	div := buildDivision(t, 4, 2)
-	m := &Exhaustive{Div: div}
+	m := &Batch{Div: div, Exhaustive: true}
 	for _, f := range div.Faces[:minInt(20, len(div.Faces))] {
 		r := m.Match(vec(f.Signature), nil)
 		if !math.IsInf(r.Similarity, 1) {
@@ -56,7 +56,7 @@ func TestExhaustiveFindsExactSignature(t *testing.T) {
 
 func TestExhaustiveVisitsAll(t *testing.T) {
 	div := buildDivision(t, 4, 2)
-	m := &Exhaustive{Div: div}
+	m := &Batch{Div: div, Exhaustive: true}
 	r := m.Match(vec(div.Faces[0].Signature), nil)
 	if r.Visited != div.NumFaces() {
 		t.Errorf("Visited = %d, want %d", r.Visited, div.NumFaces())
@@ -67,7 +67,7 @@ func TestExhaustiveNearestForPerturbed(t *testing.T) {
 	// Perturb one component of a face signature; the original face should
 	// still be among the best (distance 1).
 	div := buildDivision(t, 4, 2)
-	m := &Exhaustive{Div: div}
+	m := &Batch{Div: div, Exhaustive: true}
 	f := &div.Faces[div.NumFaces()/2]
 	v := vec(f.Signature)
 	// Flip a certain component to uncertain (distance 1 from original).
@@ -92,7 +92,7 @@ func TestTieEstimateIsMeanOfCentroids(t *testing.T) {
 	// Craft a division-like tie using the real matcher: find two faces at
 	// equal distance from a probe vector.
 	div := buildDivision(t, 4, 2)
-	m := &Exhaustive{Div: div}
+	m := &Batch{Div: div, Exhaustive: true}
 	// Probe with an impossible all-star-free vector far from everything:
 	// all zeros is plausible; just assert the invariant Estimate == mean
 	// of tied centroids whenever Tied > 1.
@@ -123,7 +123,7 @@ func TestHeuristicConvergesToExhaustiveNearPrev(t *testing.T) {
 
 func TestHeuristicVisitsFewerThanExhaustive(t *testing.T) {
 	div := buildDivision(t, 9, 2)
-	ex := &Exhaustive{Div: div}
+	ex := &Batch{Div: div, Exhaustive: true}
 	h := &Heuristic{Div: div}
 	rng := randx.New(2)
 	sumEx, sumH := 0, 0
@@ -156,10 +156,10 @@ func TestHeuristicColdStart(t *testing.T) {
 func TestHeuristicFallback(t *testing.T) {
 	div := buildDivision(t, 9, 2)
 	noFB := &Heuristic{Div: div}
-	fb := &Heuristic{Div: div, Fallback: true, FallbackBelow: math.Inf(1)}
+	fb := &Heuristic{Div: div, FallbackBelow: math.Inf(1)}
 	// With an infinite threshold the fallback always fires, so the result
 	// must equal the exhaustive answer.
-	ex := &Exhaustive{Div: div}
+	ex := &Batch{Div: div, Exhaustive: true}
 	rng := randx.New(3)
 	for trial := 0; trial < 30; trial++ {
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
@@ -215,7 +215,7 @@ func TestMatchersAgreeOnExactSignatures(t *testing.T) {
 
 func TestWeightedTopMOneEqualsExhaustive(t *testing.T) {
 	div := buildDivision(t, 9, 2)
-	ex := &Exhaustive{Div: div}
+	ex := &Batch{Div: div, Exhaustive: true}
 	w1 := &WeightedTopM{Div: div, M: 1}
 	rng := randx.New(7)
 	for trial := 0; trial < 40; trial++ {
@@ -395,7 +395,7 @@ func TestWeightedTopMTieCountMatchesExhaustive(t *testing.T) {
 	// WeightedTopM used to hardcode Tied: 1; it must report the true
 	// number of maximum-similarity faces, exactly like Exhaustive.
 	div, rc := buildDivisionClassifier(t, 9, 2)
-	ex := &Exhaustive{Div: div}
+	ex := &Batch{Div: div, Exhaustive: true}
 	w := &WeightedTopM{Div: div, M: 3}
 	rng := randx.New(11)
 	sawTie := false

@@ -92,7 +92,7 @@ func TestMatchWeightedBatchEquivalent(t *testing.T) {
 	vs, prevs, ws := trustProbes(t, div, nodes, 99, 48)
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("heuristic/incremental=%v", incremental), func(t *testing.T) {
-			serial := &Heuristic{Div: div, Incremental: incremental}
+			serial := &refHeuristic{Div: div, Incremental: incremental}
 			want := make([]Result, len(vs))
 			for i := range vs {
 				want[i] = serial.MatchWeighted(vs[i], prevs[i], ws[i])
@@ -111,7 +111,7 @@ func TestMatchWeightedBatchEquivalent(t *testing.T) {
 		})
 	}
 	t.Run("exhaustive", func(t *testing.T) {
-		ex := &Exhaustive{Div: div}
+		ex := &refExhaustive{Div: div}
 		b := &Batch{Div: div, Exhaustive: true}
 		got := b.MatchBatchWeighted(nil, vs, prevs, ws)
 		for i := range vs {
@@ -134,7 +134,7 @@ func TestMatchWeightedAllOnesIsUnweighted(t *testing.T) {
 		ones[k] = 1
 	}
 	serial := &Heuristic{Div: div, Incremental: true}
-	ex := &Exhaustive{Div: div}
+	ex := &Batch{Div: div, Exhaustive: true}
 	for i := range vs {
 		want := serial.Match(vs[i], prevs[i])
 		requireIdenticalResult(t, fmt.Sprintf("heuristic ones lane=%d", i),
@@ -153,8 +153,8 @@ func TestMatchWeightedFallbackEquivalent(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	nodes := gridNodes(t, 16)
 	vs, prevs, ws := trustProbes(t, div, nodes, 13, 24)
-	serial := &Heuristic{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
-	b := &Batch{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
+	serial := &refHeuristic{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
+	b := &Batch{Div: div, Incremental: true, FallbackBelow: 1e9}
 	got := b.MatchBatchWeighted(nil, vs, prevs, ws)
 	fellBack := 0
 	for i := range vs {

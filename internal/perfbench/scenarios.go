@@ -121,7 +121,7 @@ func Suite() []Scenario {
 		},
 		{
 			Name: "match/heuristic-batch64", Kind: KindMicro, Seed: 9,
-			Summary: "one match.Batch.MatchBatch pass over 64 mixed-start ternary lanes (SoA bitplane kernel)",
+			Summary: "one match.Batch.MatchBatchWeighted pass over 64 mixed-start ternary lanes (popcount kernel)",
 			MapsTo:  "Sec. 4.4 matching as a data-layout problem; DESIGN.md §14 (>4× per vector vs match/heuristic)",
 			setup:   setupHeuristicMatchBatch64,
 		},
@@ -315,13 +315,11 @@ func setupHeuristicMatch(sc Scenario) (*instance, error) {
 	}}, nil
 }
 
-// setupHeuristicMatchBatch64 prices the SoA batch matcher: one
-// MatchBatch pass over 64 lanes built exactly like the match/heuristic
-// probes (same division, same sampler, cold + warm starts), so
-// per-op-time/64 against match/heuristic's per-op time reads off the
-// data-layout speedup DESIGN.md §14 claims (>4× per vector). Results
-// are bitwise-identical to 64 serial Heuristic matches by the batch
-// kernel's differential contract.
+// setupHeuristicMatchBatch64 prices one MatchBatchWeighted pass over
+// 64 lanes built exactly like the match/heuristic probes (same
+// division, same sampler, cold + warm starts). Both scenarios run the
+// same engine and popcount kernel (DESIGN.md §14), so per-op-time/64
+// against match/heuristic's per-op time differs only by the probe mix.
 func setupHeuristicMatchBatch64(sc Scenario) (*instance, error) {
 	cfg := paperConfig()
 	rc := mustClassifier(cfg)
@@ -342,11 +340,11 @@ func setupHeuristicMatchBatch64(sc Scenario) (*instance, error) {
 		}
 	}
 	m := &match.Batch{Div: div}
-	out := m.MatchBatch(nil, vs, prevs) // warm scratch + result capacity
+	out := m.MatchBatchWeighted(nil, vs, prevs, nil) // warm scratch + result capacity
 	return &instance{op: func(tb *testing.B) {
 		tb.ReportAllocs()
 		for i := 0; i < tb.N; i++ {
-			out = m.MatchBatch(out[:0], vs, prevs)
+			out = m.MatchBatchWeighted(out[:0], vs, prevs, nil)
 		}
 		sink = out
 	}}, nil

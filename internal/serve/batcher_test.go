@@ -122,11 +122,11 @@ func TestBatchedByteIdenticalToSerial(t *testing.T) {
 	want := serialReference(t, sc, workload)
 
 	configs := []Config{
-		{MaxBatch: 1},                                        // batching disabled
-		{MaxBatch: 4, MaxWait: time.Millisecond},             // small batches
-		{MaxBatch: 32, MaxWait: 5 * time.Millisecond},        // wide batches
-		{MaxBatch: 8, MaxWait: time.Nanosecond},              // immediate flush
-		{MaxBatch: 8, MaxWait: time.Millisecond, Workers: 1}, // serial pool
+		{MaxBatch: 1},                                 // batching disabled
+		{MaxBatch: 4, MaxWait: time.Millisecond},      // small batches
+		{MaxBatch: 32, MaxWait: 5 * time.Millisecond}, // wide batches
+		{MaxBatch: 8, MaxWait: time.Nanosecond},       // immediate flush
+		{MaxBatch: 8, MaxWait: time.Millisecond},      // mid-size batches
 	}
 	for i, cfg := range configs {
 		got := runWorkload(t, New(cfg), sc, workload)

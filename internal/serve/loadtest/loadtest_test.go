@@ -253,7 +253,7 @@ func TestLoadCacheArmedManySessions(t *testing.T) {
 
 	// Cached divisions carry the SoA signature store, so every served
 	// localization above must have ridden the batched wave engine — one
-	// lane per request, grouped into at least one MatchBatch wave.
+	// lane per request, grouped into at least one MatchBatchWeighted wave.
 	// (The byte-identity check against the uncached reference already
 	// passed, so these counters also certify the wave path answered
 	// exactly like serial execution.)

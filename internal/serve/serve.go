@@ -51,9 +51,6 @@ type Config struct {
 	// unanswered requests); ≤ 0 selects 256. Beyond it requests are shed
 	// with 429.
 	QueueLimit int
-	// Workers is the LocalizeBatch worker-pool size; 0 selects the CPU
-	// count.
-	Workers int
 	// RequestTimeout is the default per-request deadline; ≤ 0 selects
 	// 5s. Clients may shorten it per request with an X-Fttt-Timeout
 	// header (a Go duration string).

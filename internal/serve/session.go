@@ -301,7 +301,7 @@ func (s *Session) execute(batch []*request) {
 	if h := s.srv.cfg.Hooks.BeforeBatch; h != nil {
 		h(len(live))
 	}
-	ests, err := s.mt.LocalizeBatch(creqs, s.srv.cfg.Workers)
+	ests, err := s.mt.LocalizeBatch(creqs, 1)
 	for i, r := range live {
 		resp := response{err: err}
 		if err == nil {
