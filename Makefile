@@ -32,7 +32,7 @@ vet:
 # run without -race: the race runtime allocates on the code's behalf, so
 # the gates skip themselves under it.
 allocgate:
-	$(GO) test -run 'TestHeuristicMatchZeroAllocs|TestMatchBatchZeroAllocs|TestLocalizeGroupAllocBudget|TestServeLocalizeAllocBudget|TestServeIngestAllocBudget|TestSplitAllocBudget|TestTraceNilPathZeroAllocs' -count 1 -v .
+	$(GO) test -run 'TestHeuristicMatchZeroAllocs|TestHeuristicMatchScenarioZeroAllocs|TestMatchBatchZeroAllocs|TestLocalizeGroupAllocBudget|TestServeLocalizeAllocBudget|TestServeIngestAllocBudget|TestSplitAllocBudget|TestTraceNilPathZeroAllocs' -count 1 -v .
 
 # fuzz runs every native fuzz target for FUZZTIME each (one -fuzz
 # invocation per target: go test allows a single fuzz target per run).

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	fttt-serve -addr :8080
-//	fttt-serve -addr 127.0.0.1:0 -max-batch 32 -batch-wait 1ms -queue 512
+//	fttt-serve -addr 127.0.0.1:0 -max-batch 32 -queue 512
 //	fttt-serve -field-cache-dir /var/lib/fttt/fieldcache
 //	fttt-serve -field-cache-dir /mnt/shared/fieldcache -migrate-grace 15s   # cluster member behind fttt-router
 //
@@ -39,7 +39,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		maxBatch      = flag.Int("max-batch", 0, "micro-batch size ceiling (0 = default 16)")
-		batchWait     = flag.Duration("batch-wait", 0, "max wait for batch stragglers (0 = default 2ms)")
 		queue         = flag.Int("queue", 0, "per-session admission queue limit (0 = default 256)")
 		timeout       = flag.Duration("timeout", 0, "default per-request deadline (0 = default 5s)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown")
@@ -49,13 +48,13 @@ func main() {
 		fieldCacheMax = flag.Int("field-cache-max", 0, "max resident cached divisions, LRU-evicted when unpinned (0 = unbounded)")
 	)
 	flag.Parse()
-	if err := run(*addr, *maxBatch, *batchWait, *queue, *timeout, *drainTimeout, *migrateGrace, *traceRecords, *fieldCacheDir, *fieldCacheMax); err != nil {
+	if err := run(*addr, *maxBatch, *queue, *timeout, *drainTimeout, *migrateGrace, *traceRecords, *fieldCacheDir, *fieldCacheMax); err != nil {
 		fmt.Fprintln(os.Stderr, "fttt-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, maxBatch int, batchWait time.Duration, queue int, timeout time.Duration, drainTimeout, migrateGrace time.Duration, traceRecords int, fieldCacheDir string, fieldCacheMax int) error {
+func run(addr string, maxBatch int, queue int, timeout time.Duration, drainTimeout, migrateGrace time.Duration, traceRecords int, fieldCacheDir string, fieldCacheMax int) error {
 	reg := obs.NewRegistry()
 	build := obs.RegisterBuildInfo(reg)
 	fcache, err := fieldcache.New(fieldcache.Config{
@@ -68,7 +67,6 @@ func run(addr string, maxBatch int, batchWait time.Duration, queue int, timeout 
 	}
 	srv := serve.New(serve.Config{
 		MaxBatch:       maxBatch,
-		MaxWait:        batchWait,
 		QueueLimit:     queue,
 		RequestTimeout: timeout,
 		Obs:            reg,

@@ -177,7 +177,7 @@ type (
 	// ServeConfig parameterises a Server; its zero value is usable.
 	ServeConfig = serve.Config
 	// ServeSession is one live tracking session behind its admission
-	// queue and micro-batcher.
+	// queue, whose callers run its micro-batches.
 	ServeSession = serve.Session
 	// SessionConfig is the wire-level session configuration (the JSON
 	// body of POST /v1/sessions).

@@ -144,8 +144,8 @@ func (m *MultiTracker) LocalizeGroup(targetID string, g *sampling.Group) (Estima
 // (Group non-nil) or a true position to sample, with the request's own
 // noise substream. Requests carry explicit streams, so the same target
 // may appear several times in one batch — its requests execute serially
-// in slice order, which is what a serving batcher needs to keep batched
-// execution byte-identical to serial.
+// in slice order, which is what a serving micro-batch needs to keep
+// batched execution byte-identical to serial.
 type LocalizeRequest struct {
 	// ID names the target; must be non-empty.
 	ID string
@@ -169,8 +169,8 @@ type LocalizeRequest struct {
 // only its own stream and per-target order is preserved, the results
 // are byte-identical for every batch split — equal to executing the
 // requests one at a time in slice order. This is the primitive the
-// serving micro-batcher (internal/serve) coalesces concurrent localize
-// calls into.
+// serving layer (internal/serve) coalesces concurrent localize calls
+// into.
 //
 // The batch executes as waves: one pending request per target per wave
 // runs its sampling, then a single match.Batch pass scores every wave
@@ -203,7 +203,7 @@ func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Est
 		bi.reqs[j] = append(bi.reqs[j], i)
 	}
 	ests := make([]Estimate, len(reqs))
-	// The batch span records how the micro-batcher coalesced this round
+	// The batch span records how the serving layer coalesced this round
 	// and links each member request's span, tying the per-request causal
 	// trees to the execution that actually served them. rec is shared by
 	// every per-target clone (they all derive it from base.Tracer).

@@ -91,7 +91,7 @@ func Suite() []Scenario {
 		},
 		{
 			Name: "serve/roundtrip", Kind: KindMacro, Seed: 11,
-			Summary: "in-process serving round-trip (admission → batcher → estimate), default batching, serial client",
+			Summary: "in-process serving round-trip (admission → caller-run batch → estimate), default batching, serial client",
 			MapsTo:  "DESIGN.md §10 serving architecture",
 			setup:   func(sc Scenario) (*instance, error) { return setupServe(sc, 0, false) },
 		},
@@ -104,7 +104,7 @@ func Suite() []Scenario {
 		{
 			Name: "serve/roundtrip-concurrent", Kind: KindMacro, Seed: 11,
 			Summary: "in-process serving round-trip, GOMAXPROCS concurrent clients over 4 targets (batches coalesce)",
-			MapsTo:  "DESIGN.md §10 micro-batcher coalescing",
+			MapsTo:  "DESIGN.md §10 micro-batch coalescing",
 			setup:   func(sc Scenario) (*instance, error) { return setupServe(sc, 0, true) },
 		},
 		{
@@ -158,8 +158,13 @@ func Suite() []Scenario {
 	}
 }
 
-// sink defeats dead-code elimination in micro scenarios.
-var sink any
+// sink defeats dead-code elimination in micro scenarios. A scenario
+// whose op returns a value type stores it in a typed sink instead:
+// assigning it to sink would box it, one phantom allocation per op.
+var (
+	sink      any
+	matchSink match.Result
+)
 
 // paperConfig is the BenchmarkLocalize fixture: the paper's Table 1
 // field with 20 random nodes (deployment seed 6) and 2 m cells — the
@@ -309,7 +314,7 @@ func setupHeuristicMatch(sc Scenario) (*instance, error) {
 		tb.ReportAllocs()
 		for i := 0; i < tb.N; i++ {
 			pr := probes[n%len(probes)]
-			sink = m.Match(pr.v, pr.prev)
+			matchSink = m.Match(pr.v, pr.prev)
 			n++
 		}
 	}}, nil
@@ -524,8 +529,8 @@ func setupTrackFaulted(sc Scenario) (*instance, error) {
 
 // setupServe stands up the alloc_test serving fixture (9 grid nodes on
 // a 60×60 m field, 3 m cells) and measures the in-process round-trip:
-// admission, sequence assignment, substream derivation, the batcher and
-// result fan-out — no HTTP. maxBatch 0 keeps the serving default (16);
+// admission, sequence assignment, substream derivation, the caller-run
+// batch and result fan-out — no HTTP. maxBatch 0 keeps the serving default (16);
 // 1 disables coalescing. concurrent fans GOMAXPROCS clients over 4
 // targets so batches actually coalesce.
 func setupServe(sc Scenario, maxBatch int, concurrent bool) (*instance, error) {
@@ -727,7 +732,7 @@ func (*replayBody) Close() error { return nil }
 
 // setupServeIngest prices the report-ingestion route as the
 // ingest-shared benchmark drives it, minus the network: routing, body
-// read, wire decode, group validation, the batcher round-trip and the
+// read, wire decode, group validation, the caller-run batch and the
 // JSON response, on 16 reports collected with sampling.Sampler (k=5,
 // 10% loss) along one target's random positions.
 func setupServeIngest(sc Scenario) (*instance, error) {

@@ -122,11 +122,11 @@ func TestBatchedByteIdenticalToSerial(t *testing.T) {
 	want := serialReference(t, sc, workload)
 
 	configs := []Config{
-		{MaxBatch: 1},                                 // batching disabled
-		{MaxBatch: 4, MaxWait: time.Millisecond},      // small batches
-		{MaxBatch: 32, MaxWait: 5 * time.Millisecond}, // wide batches
-		{MaxBatch: 8, MaxWait: time.Nanosecond},       // immediate flush
-		{MaxBatch: 8, MaxWait: time.Millisecond},      // mid-size batches
+		{MaxBatch: 1},  // batching disabled
+		{MaxBatch: 4},  // small batches
+		{MaxBatch: 32}, // wide batches
+		{MaxBatch: 8},  // mid-size batches
+		{MaxBatch: 8},  // mid-size batches, another interleaving
 	}
 	for i, cfg := range configs {
 		got := runWorkload(t, New(cfg), sc, workload)
@@ -154,7 +154,6 @@ func TestBatcherCoalesces(t *testing.T) {
 	block := make(chan struct{})
 	srv := New(Config{
 		MaxBatch: 16,
-		MaxWait:  50 * time.Millisecond,
 		Hooks: Hooks{BeforeBatch: func(n int) {
 			<-block // hold the first batch until all clients queued
 			mu.Lock()
@@ -201,21 +200,40 @@ func TestBatcherCoalesces(t *testing.T) {
 }
 
 // TestAdmissionControl pins the load-shedding mechanics: with the
-// batcher gated, exactly QueueLimit requests are admitted and the rest
-// are shed with ErrOverloaded; queued requests past their deadline are
-// answered ErrDeadline and skipped by the batcher.
+// first batch gated, exactly QueueLimit requests are admitted and the
+// rest are shed with ErrOverloaded; queued requests past their deadline
+// are answered ErrDeadline and skipped, and the caller held at the gate
+// answers ErrDeadline after its batch.
 func TestAdmissionControl(t *testing.T) {
 	const limit = 4
+	const timeout = 200 * time.Millisecond
 	gate := make(chan struct{})
+	entered := make(chan time.Time, 1)
 	srv := New(Config{
 		QueueLimit: limit,
 		MaxBatch:   1, // execute one by one so the gate holds the queue
-		Hooks:      Hooks{BeforeBatch: func(int) { <-gate }},
+		Hooks: Hooks{BeforeBatch: func(int) {
+			entered <- time.Now()
+			<-gate
+		}},
 	})
 	sess, err := srv.CreateSession(testConfig(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The gated batch's own caller is held in BeforeBatch, so the gate
+	// lifts from here: once the limit−1 queued requests have timed out
+	// and the held caller's own deadline, set before it entered the
+	// hook, has passed too.
+	go func() {
+		held := <-entered
+		for srv.met.timeouts.Value() < limit-1 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(time.Until(held.Add(timeout + 10*time.Millisecond)))
+		close(gate)
+	}()
 
 	const total = limit + 5
 	errsCh := make(chan error, total)
@@ -224,7 +242,7 @@ func TestAdmissionControl(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
 			_, err := sess.Localize(ctx, fmt.Sprintf("t%d", i), geom.Pt(20, 20))
 			errsCh <- err
@@ -243,9 +261,9 @@ func TestAdmissionControl(t *testing.T) {
 			other++
 		}
 	}
-	// The batcher holds at the gate with one request in hand; that one
-	// plus the queue capacity are admitted (then time out), the rest
-	// shed.
+	// The first caller holds at the gate running its own batch; it and
+	// the queued requests fill the admission limit (then time out), the
+	// rest shed.
 	if shed != total-limit {
 		t.Errorf("shed %d requests, want %d", shed, total-limit)
 	}
@@ -261,7 +279,6 @@ func TestAdmissionControl(t *testing.T) {
 	if got := srv.met.timeouts.Value(); got != float64(limit) {
 		t.Errorf("timeout counter %v, want %d", got, limit)
 	}
-	close(gate) // release the batcher; canceled entries are skipped
 	srv.CloseSession(sess.ID())
 	if got := srv.met.queueDepth.Value(); got != 0 {
 		t.Errorf("queue depth after teardown %v, want 0", got)

@@ -137,33 +137,50 @@ func TestLoadNoFaultPath(t *testing.T) {
 	}
 }
 
-// TestLoadOverloadSheds drives the overload path over HTTP: the batcher
-// is gated so admission fills, and the shed/timeout split is exact —
+// TestLoadOverloadSheds drives the overload path over HTTP: the first
+// batch is gated so admission fills, and the shed/timeout split is exact —
 // QueueLimit admitted requests time out (504), every other request is
 // shed with 429 + Retry-After.
 func TestLoadOverloadSheds(t *testing.T) {
 	const limit = 4
+	const timeout = 150 * time.Millisecond
 	gate := make(chan struct{})
+	entered := make(chan time.Time, 1)
 	srv := serve.New(serve.Config{
 		QueueLimit: limit,
-		MaxBatch:   1, // one request in hand at the gate, the rest queued
-		Hooks:      serve.Hooks{BeforeBatch: func(int) { <-gate }},
+		MaxBatch:   1, // one request running at the gate, the rest queued
+		Hooks: serve.Hooks{BeforeBatch: func(int) {
+			entered <- time.Now()
+			<-gate
+		}},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	// The gated batch's own caller is held in BeforeBatch, so the gate
+	// lifts from here: once the limit−1 queued requests have timed out
+	// and the held request's own deadline, set before it entered the
+	// hook, has passed too.
+	timeouts := srv.Registry().Counter("fttt_serve_timeouts_total")
+	go func() {
+		held := <-entered
+		for timeouts.Value() < limit-1 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(time.Until(held.Add(timeout + 10*time.Millisecond)))
+		close(gate)
+	}()
 
 	cfg := Config{
 		Clients:  limit + 5,
 		Requests: 1,
 		Seed:     11,
 		Session:  testSession(8),
-		Timeout:  150 * time.Millisecond,
+		Timeout:  timeout,
 	}
 	id, res, err := Run(ts.Client(), ts.URL, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	close(gate) // release the batcher; canceled entries are skipped
 	defer srv.CloseSession(id)
 
 	wantShed := cfg.Clients - limit

@@ -1,20 +1,19 @@
 // Package serve is the tracking-as-a-service layer: a long-running
 // HTTP/JSON API over core.MultiTracker with production serving
 // mechanics. Sessions are created from a wire-level fttt configuration;
-// localize calls and ingested sampling reports ride a per-session
-// micro-batcher that coalesces concurrent requests into
-// MultiTracker.LocalizeBatch rounds (tunable max batch size / max
-// wait); a bounded admission queue sheds overload with 429 +
-// Retry-After; requests carry deadlines; estimates stream out over SSE;
-// and SIGTERM-style graceful drain finishes in-flight work before the
-// listener goes away.
+// localize calls and ingested sampling reports queue per session and
+// are coalesced into MultiTracker.LocalizeBatch micro-batches that the
+// callers run themselves, one at a time; a bounded admission queue sheds
+// overload with 429 + Retry-After; requests carry deadlines; estimates
+// stream out over SSE; and SIGTERM-style graceful drain finishes
+// in-flight work before the listener goes away.
 //
 // Determinism contract (the serving extension of the PR 2 contract):
 // each session is rooted at SessionConfig.Seed, and the n-th localize
 // request for target T draws its sampling noise from
-// RequestStream(root, T, n). Because the batcher preserves per-target
-// FIFO order and LocalizeBatch executes same-target requests serially
-// in that order, the response bytes are identical to unbatched serial
+// RequestStream(root, T, n). Because batches leave the queue in
+// admission order (per-target FIFO) and LocalizeBatch executes
+// same-target requests serially in that order, the response bytes are identical to unbatched serial
 // execution for any interleaving, batch split, or worker count.
 // DESIGN.md §10 documents the architecture.
 package serve
@@ -41,12 +40,9 @@ import (
 // Config parameterises a Server. The zero value is usable: every field
 // has a serving-grade default.
 type Config struct {
-	// MaxBatch is the micro-batcher's batch-size ceiling; ≤ 0 selects 16.
+	// MaxBatch caps a micro-batch (whatever queued while the previous
+	// batch ran; nothing waits for stragglers); ≤ 0 selects 16.
 	MaxBatch int
-	// MaxWait bounds how long a batch may wait for stragglers once more
-	// work is known to be in flight; ≤ 0 selects 2ms. An idle queue
-	// never waits.
-	MaxWait time.Duration
 	// QueueLimit bounds each session's admission queue (admitted,
 	// unanswered requests); ≤ 0 selects 256. Beyond it requests are shed
 	// with 429.
@@ -79,8 +75,9 @@ type Config struct {
 
 // Hooks are deterministic-test seams into the serving path.
 type Hooks struct {
-	// BeforeBatch, when non-nil, is called (on the batcher goroutine)
-	// with each batch's size just before it executes. The load harness
+	// BeforeBatch, when non-nil, is called with each batch's size just
+	// before it executes, on the goroutine of the caller running the
+	// batch (blocking here holds that caller too). The load harness
 	// blocks here to build reproducible overload; production leaves it
 	// nil.
 	BeforeBatch func(batchSize int)
@@ -89,9 +86,6 @@ type Hooks struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 256
@@ -275,8 +269,9 @@ func (s *Server) CloseSession(id string) bool {
 
 // Drain performs graceful shutdown: new work is refused with 503, then
 // Drain blocks until every admitted request has been answered (or ctx
-// expires), and finally every session is torn down — batchers stop and
-// SSE streams end, so an enclosing http.Server.Shutdown is not held
+// expires), and finally every session is torn down — running batches
+// finish, queued stragglers are answered ErrSessionClosed and SSE
+// streams end, so an enclosing http.Server.Shutdown is not held
 // open. Returns ctx.Err() if the deadline cut the wait short. In a
 // cluster, call Quiesce first and let the router migrate sessions off
 // (fttt-serve -migrate-grace) before this final teardown.

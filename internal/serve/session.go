@@ -6,7 +6,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fttt/internal/core"
 	"fttt/internal/geom"
@@ -28,24 +27,26 @@ var (
 	// no new work is admitted (503).
 	ErrDraining = errors.New("serve: server draining")
 	// ErrDeadline is returned when the caller's deadline expired before
-	// the batcher delivered the estimate (504).
+	// its estimate was delivered (504).
 	ErrDeadline = errors.New("serve: request deadline exceeded")
 )
 
-// request is one admitted localize/report call waiting for the batcher.
+// request is one admitted localize/report call.
 type request struct {
 	creq core.LocalizeRequest
 	seq  uint64
-	// canceled is set by the handler when its deadline expires while the
-	// request is still queued; the batcher skips it without executing.
-	canceled atomic.Bool
-	done     chan response // buffered(1): the batcher never blocks on it
+	// canceled (a waiting caller's deadline expired: skip the request)
+	// and lead (promoted to run the next batch; the lead message is
+	// already in done) are guarded by the session lock.
+	canceled, lead bool
+	done           chan response // buffered(1): the sender never blocks on it
 }
 
-// response is the batcher's answer to one request.
+// response answers a request, or (lead) promotes it to run a batch.
 type response struct {
-	est core.Estimate
-	err error
+	est  core.Estimate
+	err  error
+	lead bool
 }
 
 // Result pairs an estimate with the per-target sequence number the
@@ -56,8 +57,8 @@ type Result struct {
 }
 
 // Session is one tracking session: a MultiTracker behind a bounded
-// admission queue and a micro-batching loop, plus the SSE fan-out hub
-// and the latest-estimate table.
+// admission queue whose callers run its micro-batches themselves, plus
+// the SSE fan-out hub and the latest-estimate table.
 type Session struct {
 	id  string
 	srv *Server
@@ -78,11 +79,18 @@ type Session struct {
 	seq    map[string]uint64 // per-target request counter (rng index)
 	latest map[string]EstimateWire
 	closed bool
+	// queue holds admitted, unexecuted requests in admission order. busy
+	// marks a caller holding the executor role; it is false only when
+	// queue is empty. idle is broadcast when busy clears.
+	queue []*request
+	busy  bool
+	idle  sync.Cond
 
 	inflight atomic.Int64 // admitted, not yet answered
-	in       chan *request
-	stop     chan struct{}
-	stopped  chan struct{}
+	// live and creqs hold the running batch: scratch of the caller
+	// holding the executor role.
+	live  []*request
+	creqs []core.LocalizeRequest
 
 	subMu   sync.Mutex
 	subs    map[int]*subscriber
@@ -108,12 +116,9 @@ func newSession(id string, srv *Server, wire SessionConfig, cfg core.Config, mt 
 		releaseDiv: releaseDiv,
 		seq:        make(map[string]uint64),
 		latest:     make(map[string]EstimateWire),
-		in:         make(chan *request, srv.cfg.QueueLimit),
-		stop:       make(chan struct{}),
-		stopped:    make(chan struct{}),
 		subs:       make(map[int]*subscriber),
 	}
-	go s.runBatcher()
+	s.idle.L = &s.mu
 	return s
 }
 
@@ -137,9 +142,10 @@ func (s *Session) Latest(target string) (EstimateWire, bool) {
 // Localize admits one simulated-sensing localization for target at the
 // true position pos: the request's noise substream is
 // RequestStream(root, target, n) for the target's n-th request, the
-// request rides the next micro-batch, and the call blocks until the
-// estimate is delivered or ctx expires. Errors: ErrOverloaded,
-// ErrSessionClosed, ErrDraining, ErrDeadline.
+// request rides a micro-batch (run by this very call when the session
+// is idle), and the call blocks until the estimate is delivered or ctx
+// expires. Errors: ErrOverloaded, ErrSessionClosed, ErrDraining,
+// ErrDeadline.
 func (s *Session) Localize(ctx context.Context, target string, pos geom.Point) (Result, error) {
 	return s.submit(ctx, target, func(n uint64) core.LocalizeRequest {
 		return core.LocalizeRequest{
@@ -161,8 +167,9 @@ func (s *Session) Ingest(ctx context.Context, target string, g *sampling.Group) 
 }
 
 // submit runs the admission pipeline: load-shed on the bounded queue,
-// assign the per-target sequence number, enqueue in admission order,
-// then wait for the batcher (or the deadline).
+// assign the per-target sequence number and enqueue in admission order,
+// then run the batch (session idle) or wait for the answer, a promotion
+// to run the next batch, or the deadline.
 func (s *Session) submit(ctx context.Context, target string, mk func(n uint64) core.LocalizeRequest) (Result, error) {
 	if s.srv.draining.Load() {
 		return Result{}, ErrDraining
@@ -187,8 +194,7 @@ func (s *Session) submit(ctx context.Context, target string, mk func(n uint64) c
 	r := &request{done: make(chan response, 1)}
 	// Sequence assignment and enqueue happen under one lock so that
 	// same-target requests enter the queue in sequence order — the
-	// per-target FIFO the determinism contract rests on. The send cannot
-	// block: the channel capacity equals the admission limit.
+	// per-target FIFO the determinism contract rests on.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -199,7 +205,7 @@ func (s *Session) submit(ctx context.Context, target string, mk func(n uint64) c
 	s.seq[target] = r.seq + 1
 	r.creq = mk(r.seq)
 	// The request's root span: the whole causal tree of this call — the
-	// batcher's round span parents under it, the batch span links to it.
+	// batch's round span parents under it, the batch span links to it.
 	// Inert (nil recorder) this is a pointer check.
 	sp := s.rec.Start(obs.SpanRef{}, "serve", "request")
 	if sp.Active() {
@@ -207,102 +213,113 @@ func (s *Session) submit(ctx context.Context, target string, mk func(n uint64) c
 		sp.Attr("seq", float64(r.seq))
 		r.creq.Span = sp.Ref()
 	}
-	s.in <- r
+	s.queue = append(s.queue, r)
+	lead := !s.busy
+	s.busy = true
 	s.mu.Unlock()
 	s.srv.met.queueDepth.Add(1)
 
-	select {
-	case resp := <-r.done:
-		sp.Flag("error", resp.err != nil)
-		sp.End()
-		if resp.err != nil {
-			return Result{}, resp.err
+	var resp response
+	timedOut := false
+	if !lead {
+		select {
+		case resp = <-r.done:
+			lead = resp.lead
+		case <-ctx.Done():
+			s.mu.Lock()
+			lead, r.canceled = r.lead, !r.lead
+			s.mu.Unlock()
+			timedOut = true
+			if lead {
+				// Promoted as the deadline fired: the executor role is
+				// ours and must be exercised, or the queue stalls.
+				<-r.done
+			}
 		}
-		return Result{Seq: r.seq, Estimate: resp.est}, nil
-	case <-ctx.Done():
-		r.canceled.Store(true)
+	}
+	if lead {
+		s.runBatch()
+		resp = <-r.done // r headed the batch, so the batch answered it
+		timedOut = ctx.Err() != nil
+	}
+	if timedOut {
 		sp.Flag("deadline", true)
 		sp.End()
 		s.srv.met.timeouts.Inc()
 		return Result{}, ErrDeadline
 	}
-}
-
-// runBatcher is the session's single consumer: it coalesces queued
-// requests into LocalizeBatch rounds. After a first request arrives it
-// keeps collecting while more work is demonstrably in flight, up to
-// MaxBatch requests or MaxWait of accumulated waiting — but executes
-// immediately when the queue has gone quiet, so an unloaded server adds
-// no batching latency.
-func (s *Session) runBatcher() {
-	defer close(s.stopped)
-	maxBatch := s.srv.cfg.MaxBatch
-	maxWait := s.srv.cfg.MaxWait
-	var batch []*request
-	for {
-		var first *request
-		select {
-		case first = <-s.in:
-		case <-s.stop:
-			s.drainQueue()
-			return
-		}
-		batch = append(batch[:0], first)
-		if maxBatch > 1 {
-			timer := time.NewTimer(maxWait)
-		collect:
-			for len(batch) < maxBatch {
-				select {
-				case r := <-s.in:
-					batch = append(batch, r)
-					continue
-				default:
-				}
-				// Queue empty. inflight counts the batch members plus
-				// anything admitted but not yet answered; if nothing
-				// beyond the batch is in flight, waiting buys no
-				// coalescing — execute now.
-				if s.inflight.Load() <= int64(len(batch)) {
-					break collect
-				}
-				select {
-				case r := <-s.in:
-					batch = append(batch, r)
-				case <-timer.C:
-					break collect
-				case <-s.stop:
-					break collect
-				}
-			}
-			timer.Stop()
-		}
-		s.execute(batch)
+	sp.Flag("error", resp.err != nil)
+	sp.End()
+	if resp.err != nil {
+		return Result{}, resp.err
 	}
+	return Result{Seq: r.seq, Estimate: resp.est}, nil
 }
 
-// execute runs one micro-batch through the tracker and fans the results
-// back out, skipping requests whose callers have already given up.
-func (s *Session) execute(batch []*request) {
-	s.srv.met.queueDepth.Add(-float64(len(batch)))
-	live := make([]*request, 0, len(batch))
-	creqs := make([]core.LocalizeRequest, 0, len(batch))
-	for _, r := range batch {
-		if r.canceled.Load() {
+// runBatch runs up to MaxBatch requests from the queue head on the
+// calling goroutine, which must hold the executor role, then hands the
+// role on: it drops canceled heads (answers all with ErrSessionClosed
+// once closed) and promotes the new head, or the session goes idle.
+func (s *Session) runBatch() {
+	s.mu.Lock()
+	n := min(len(s.queue), s.srv.cfg.MaxBatch)
+	for _, r := range s.queue[:n] {
+		if r.canceled {
 			s.inflight.Add(-1)
 			continue
 		}
-		live = append(live, r)
-		creqs = append(creqs, r.creq)
+		s.live = append(s.live, r)
+		s.creqs = append(s.creqs, r.creq)
 	}
-	if len(live) == 0 {
+	s.shift(n)
+	s.mu.Unlock()
+	s.srv.met.queueDepth.Add(-float64(n))
+	s.execute() // never empty: the caller's own request heads the batch
+	clear(s.live)
+	clear(s.creqs)
+	s.live, s.creqs = s.live[:0], s.creqs[:0]
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n = 0
+	for _, r := range s.queue {
+		if !s.closed && !r.canceled {
+			break
+		}
+		n++
+		s.inflight.Add(-1)
+		if !r.canceled {
+			r.done <- response{err: ErrSessionClosed}
+		}
+	}
+	s.shift(n)
+	s.srv.met.queueDepth.Add(-float64(n))
+	if len(s.queue) == 0 {
+		s.busy = false
+		s.idle.Broadcast()
 		return
 	}
-	s.srv.met.batchSize.Observe(float64(len(live)))
+	s.queue[0].lead = true
+	s.queue[0].done <- response{lead: true}
+}
+
+// shift drops the first n queued requests, keeping the backing array.
+// s.mu must be held.
+func (s *Session) shift(n int) {
+	k := copy(s.queue, s.queue[n:])
+	clear(s.queue[k:])
+	s.queue = s.queue[:k]
+}
+
+// execute runs the batch in s.live through the tracker and fans the
+// results back out.
+func (s *Session) execute() {
+	s.srv.met.batchSize.Observe(float64(len(s.live)))
 	if h := s.srv.cfg.Hooks.BeforeBatch; h != nil {
-		h(len(live))
+		h(len(s.live))
 	}
-	ests, err := s.mt.LocalizeBatch(creqs, 1)
-	for i, r := range live {
+	ests, err := s.mt.LocalizeBatch(s.creqs, 1)
+	for i, r := range s.live {
 		resp := response{err: err}
 		if err == nil {
 			resp.est = ests[i]
@@ -319,25 +336,10 @@ func (s *Session) execute(batch []*request) {
 	}
 }
 
-// drainQueue answers every still-queued request with ErrSessionClosed.
-func (s *Session) drainQueue() {
-	for {
-		select {
-		case r := <-s.in:
-			s.srv.met.queueDepth.Add(-1)
-			s.inflight.Add(-1)
-			if !r.canceled.Load() {
-				r.done <- response{err: ErrSessionClosed}
-			}
-		default:
-			return
-		}
-	}
-}
-
-// close tears the session down: no new admissions, the batcher exits
-// after its current batch, queued stragglers get ErrSessionClosed, and
-// every SSE stream ends. Idempotent.
+// close tears the session down: no new admissions, the running batch
+// (if any) completes, queued requests are answered ErrSessionClosed,
+// and every SSE stream ends. The division is released only once no
+// batch can touch it. Idempotent.
 func (s *Session) close() {
 	s.mu.Lock()
 	if s.closed {
@@ -345,10 +347,10 @@ func (s *Session) close() {
 		return
 	}
 	s.closed = true
+	for s.busy {
+		s.idle.Wait()
+	}
 	s.mu.Unlock()
-	close(s.stop)
-	<-s.stopped
-	s.drainQueue() // requests that raced the batcher's exit
 	s.subMu.Lock()
 	for _, sub := range s.subs {
 		close(sub.ch)
@@ -356,7 +358,6 @@ func (s *Session) close() {
 	s.subs = make(map[int]*subscriber)
 	s.subMu.Unlock()
 	if s.releaseDiv != nil {
-		// Unpin the shared division last: no more batches can touch it.
 		s.releaseDiv()
 	}
 }
@@ -389,7 +390,7 @@ func (s *Session) subscribe(target string) (<-chan []byte, func(), bool) {
 
 // publish fans one estimate out to matching subscribers. A slow
 // consumer's full buffer drops the event (counted) instead of stalling
-// the batcher.
+// the batch.
 func (s *Session) publish(ew EstimateWire) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
