@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -88,10 +87,6 @@ func TestHeuristicMatchZeroAllocs(t *testing.T) {
 // such as a result boxed into an interface sink.
 func TestHeuristicMatchScenarioZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
-	// Run points -test.benchtime at BenchTime; restore it for this
-	// package's benchmarks.
-	bt := flag.Lookup("test.benchtime")
-	defer bt.Value.Set(bt.Value.String())
 	rep, err := perfbench.Run(perfbench.Options{
 		BenchTime: 2 * time.Millisecond,
 		Reps:      1,

@@ -140,10 +140,11 @@ func New(cfg Config) (*Router, error) {
 				pr.SetURL(target)
 				pr.SetXForwarded()
 			},
-			// SSE: flush every write through immediately.
-			FlushInterval: -1,
-			Transport:     client.Transport,
-			BufferPool:    proxyBuffers,
+			// No FlushInterval: the proxy already flushes text/event-stream
+			// and unknown-length bodies on every write, and a negative
+			// interval would start a flush timer goroutine per response.
+			Transport:  client.Transport,
+			BufferPool: proxyBuffers,
 			ErrorHandler: func(w http.ResponseWriter, req *http.Request, err error) {
 				r.met.proxyErrors.Inc()
 				writeJSON(w, http.StatusBadGateway,

@@ -274,7 +274,8 @@ func TestRouterEndToEnd(t *testing.T) {
 
 // TestRouterSSEStream proves estimate streams survive the proxy hop:
 // an SSE subscription through the router sees events flushed through
-// as they happen (FlushInterval -1), not buffered until close.
+// as they happen (the proxy flushes text/event-stream on every write),
+// not buffered until close.
 func TestRouterSSEStream(t *testing.T) {
 	backends := startBackends(t, "b1", "b2")
 	_, ts := startRouter(t, backends, 0)

@@ -1,7 +1,6 @@
 package field
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -39,8 +38,11 @@ func AdaptiveDivide(fieldRect geom.Rect, classifier *RatioClassifier, coarse, fi
 	d := &Division{Field: fieldRect, CellSize: fine, Cols: cols, Rows: rows, cellFace: make([]int, cols*rows)}
 
 	// Walk coarse blocks; face IDs follow first appearance in the walk.
-	cc := newCellCoder(classifier)
-	first := make([]byte, len(cc.row))
+	// The face table starts at one face per block and grows past it
+	// where blocks refine.
+	blocks := ((cols + iratio - 1) / iratio) * ((rows + iratio - 1) / iratio)
+	cc := newCellCoder(classifier, blocks)
+	first := make([]int8, len(cc.row))
 	for br := 0; br < rows; br += iratio {
 		for bc := 0; bc < cols; bc += iratio {
 			rEnd := min(br+iratio, rows)
@@ -59,19 +61,19 @@ func AdaptiveDivide(fieldRect geom.Rect, classifier *RatioClassifier, coarse, fi
 			copy(first, cc.classify(probes[0]))
 			uniform := true
 			for _, p := range probes[1:] {
-				if !bytes.Equal(first, cc.classify(p)) {
+				if !rowsEqual(first, cc.classify(p)) {
 					uniform = false
 					break
 				}
 			}
 			id := -1
 			if uniform {
-				id = cc.intern(first)
+				id = cc.faces.intern(first)
 			}
 			for r := br; r < rEnd; r++ {
 				for c := bc; c < cEnd; c++ {
 					if !uniform { // refine: per-fine-cell signatures
-						id = cc.intern(cc.classify(d.CellCenter(c, r)))
+						id = cc.faces.intern(cc.classify(d.CellCenter(c, r)))
 					}
 					d.cellFace[r*cols+c] = id
 				}
@@ -80,5 +82,5 @@ func AdaptiveDivide(fieldRect geom.Rect, classifier *RatioClassifier, coarse, fi
 	}
 	// Centroids sum in the same block walk, so the float order is the
 	// walk's.
-	return d.finish(cc, iratio), nil
+	return d.finish(cc.faces, iratio), nil
 }

@@ -91,29 +91,44 @@ func (d *Division) assemble(s *SigSoA) {
 	d.deriveNeighborDiffs(s)
 }
 
-// deriveNeighborDiffs fills every face's NeighborDiffs from the store
-// into one slab of exactly the counted size.
+// deriveNeighborDiffs fills every face's NeighborDiffs. Each undirected
+// link's diff is derived once, into one slab sized exactly by a
+// popcount pass, and both directions share the slice. Neighbour lists
+// are symmetric and ascending, so walking faces a in ascending order
+// reaches each face b's lower neighbours in b's own order: next[b] is
+// the slot of the one still to come.
 func (d *Division) deriveNeighborDiffs(s *SigSoA) {
 	links, total := 0, 0
-	scratch := make([]int, 0, s.Dim) // no diff is longer than a row
 	for a := range d.Faces {
 		links += len(d.Faces[a].Neighbors)
 		for _, b := range d.Faces[a].Neighbors {
-			scratch = s.appendLinkDiff(scratch[:0], a, b)
-			total += len(scratch)
+			if b > a {
+				total += s.linkDiffLen(a, b)
+			}
 		}
 	}
 	diffs := make([][]int, links)
-	slab := make([]int, 0, total)
 	for a := range d.Faces {
 		f := &d.Faces[a]
 		f.NeighborDiffs, diffs = diffs[:len(f.Neighbors):len(f.Neighbors)], diffs[len(f.Neighbors):]
+	}
+	slab := make([]int, 0, total)
+	next := make([]int, len(d.Faces))
+	for a := range d.Faces {
+		f := &d.Faces[a]
 		for i, b := range f.Neighbors {
+			if b < a {
+				continue
+			}
 			start := len(slab)
 			slab = s.appendLinkDiff(slab, a, b)
-			if len(slab) > start { // two faces always differ; keep an empty diff nil regardless
-				f.NeighborDiffs[i] = slab[start:len(slab):len(slab)]
+			var diff []int // two faces always differ; keep an empty diff nil regardless
+			if len(slab) > start {
+				diff = slab[start:len(slab):len(slab)]
 			}
+			f.NeighborDiffs[i] = diff
+			d.Faces[b].NeighborDiffs[next[b]] = diff
+			next[b]++
 		}
 	}
 }

@@ -236,18 +236,26 @@ func TestReferenceDivideAgrees(t *testing.T) {
 }
 
 // FuzzDivide compares DivideWorkers with the float-keyed reference pass
-// over small random deployments: 2–9 nodes, C ∈ [1, 3], cell sizes
-// from 2 to 12.5 m on a 50 m field, and 1–4 workers. The divisions
-// must be reflect.DeepEqual — raster, faces, neighbour diffs and SoA
-// store.
+// over small deployments, random or on a grid (grid nodes put ties on
+// cell centres and C = 1 bisectors along rows): 2–9 nodes, C ∈ [1, 3],
+// cell sizes from 2 to 12.5 m on a 50 m field, and 1–4 workers. The
+// divisions must be reflect.DeepEqual — raster, faces, neighbour diffs
+// and SoA store.
 func FuzzDivide(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint16(0), uint8(0), uint8(1))
-	f.Add(uint64(2), uint8(9), uint16(1000), uint8(7), uint8(2))
-	f.Add(uint64(3), uint8(2), uint16(400), uint8(3), uint8(4))
-	f.Add(uint64(4), uint8(7), uint16(65535), uint8(255), uint8(3))
+	f.Add(uint64(1), uint8(4), uint16(0), uint8(0), uint8(1), false)
+	f.Add(uint64(2), uint8(9), uint16(1000), uint8(7), uint8(2), false)
+	f.Add(uint64(3), uint8(2), uint16(400), uint8(3), uint8(4), false)
+	f.Add(uint64(4), uint8(7), uint16(65535), uint8(255), uint8(3), false)
+	f.Add(uint64(5), uint8(7), uint16(0), uint8(0), uint8(1), true)    // 9-node grid, C = 1, 2 m cells
+	f.Add(uint64(6), uint8(2), uint16(0), uint8(61), uint8(2), true)   // 4-node grid, C = 1, 4.5 m cells
+	f.Add(uint64(7), uint8(7), uint16(3900), uint8(0), uint8(3), true) // 9-node grid, C ≈ 1.12
+	f.Add(uint64(8), uint8(2), uint16(1), uint8(24), uint8(1), false)  // C within 3.1e-5 of 1
 	small := geom.NewRect(geom.Pt(0, 0), geom.Pt(50, 50))
-	f.Fuzz(func(t *testing.T, seed uint64, n uint8, c uint16, cell uint8, workers uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, c uint16, cell uint8, workers uint8, grid bool) {
 		nodes := deploy.Random(small, 2+int(n)%8, randx.New(seed)).Positions()
+		if grid {
+			nodes = deploy.Grid(small, 2+int(n)%8).Positions()
+		}
 		C := 1 + 2*float64(c)/65535
 		cellSize := 2 + float64(cell)/255*10.5
 		rc, err := NewRatioClassifier(nodes, C)

@@ -168,20 +168,25 @@ func DivideWorkers(fieldRect geom.Rect, classifier *RatioClassifier, cellSize fl
 	}
 	d := &Division{Field: fieldRect, CellSize: cellSize, Cols: cols, Rows: rows, cellFace: make([]int, cols*rows)}
 
-	coders := []*cellCoder{newCellCoder(classifier)}
-	for len(coders) < min(workers, rows) {
-		coders = append(coders, newCellCoder(classifier))
-	}
+	// Each shard's face table is sized for its band's cells, which bound
+	// its faces; shard 0's, which the others merge into, for every cell.
+	sw := newRowSweep(d, classifier)
+	shards := max(min(workers, rows), 1)
+	coders := make([]*cellCoder, shards)
 	var wg sync.WaitGroup
-	for s, cc := range coders {
-		cc.startRow, cc.endRow = s*rows/len(coders), (s+1)*rows/len(coders)
+	for s := range coders {
+		start, end := s*rows/shards, (s+1)*rows/shards
+		cells := (end - start) * cols
+		if s == 0 {
+			cells = rows * cols
+		}
+		cc := newCellCoder(classifier, cells)
+		cc.startRow, cc.endRow, coders[s] = start, end, cc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := cc.startRow; r < cc.endRow; r++ {
-				for c := 0; c < cols; c++ {
-					d.cellFace[r*cols+c] = cc.intern(cc.classify(d.CellCenter(c, r)))
-				}
+				cc.sweepRow(sw, r, d.cellFace[r*cols:(r+1)*cols])
 			}
 		}()
 	}
@@ -189,16 +194,11 @@ func DivideWorkers(fieldRect geom.Rect, classifier *RatioClassifier, cellSize fl
 
 	// Merge into shard 0's table in shard order, renumbering each later
 	// shard's band of the raster from local to global face IDs.
-	global, dim := coders[0], len(coders[0].row)
+	global := coders[0].faces
 	for _, cc := range coders[1:] {
-		remap := make([]int, len(cc.keys))
-		for li, key := range cc.keys {
-			id, ok := global.index[key]
-			if !ok {
-				id = global.add(key)
-				global.rows = append(global.rows, cc.rows[li*dim:(li+1)*dim]...)
-			}
-			remap[li] = id
+		remap := make([]int, cc.faces.n)
+		for li, h := range cc.faces.hashes {
+			remap[li] = global.internHashed(cc.faces.row(li), h)
 		}
 		for i := cc.startRow * cols; i < cc.endRow*cols; i++ {
 			d.cellFace[i] = remap[d.cellFace[i]]

@@ -483,7 +483,7 @@ func TestSignatureDistanceFastPathMatchesClassify(t *testing.T) {
 	for _, c := range []float64{defaultC(), 1} {
 		rc := gridClassifier(t, 9, c)
 		n := rc.NumNodes()
-		row, dist := make([]byte, vector.NumPairs(n)), make([]float64, 2*n)
+		row, dist := make([]int8, vector.NumPairs(n)), make([]float64, 2*n)
 		rng := randx.New(8)
 		for trial := 0; trial < 200; trial++ {
 			p := geom.Pt(rng.Uniform(-10, 110), rng.Uniform(-10, 110))
@@ -495,8 +495,8 @@ func TestSignatureDistanceFastPathMatchesClassify(t *testing.T) {
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					want := int8(rc.Classify(p, i, j))
-					if int8(row[k]) != want {
-						t.Fatalf("C=%v pair (%d,%d) at %v: code %d vs classify %d", c, i, j, p, int8(row[k]), want)
+					if row[k] != want {
+						t.Fatalf("C=%v pair (%d,%d) at %v: code %d vs classify %d", c, i, j, p, row[k], want)
 					}
 					k++
 				}

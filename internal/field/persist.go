@@ -363,7 +363,10 @@ func decodeSpill(b []byte) (*Division, error) {
 		}
 	}
 
-	if err := uniqueRows(raw, nf, dim); err != nil {
+	if err := symmetricNeighbors(faces); err != nil {
+		return nil, err
+	}
+	if err := uniqueRows(codes, nf, dim); err != nil {
 		return nil, err
 	}
 	// The diffs and the raster, the sizes the bytes do not bound, are
@@ -385,16 +388,40 @@ func decodeSpill(b []byte) (*Division, error) {
 // uniqueRows rejects two faces with the same code row. Lemma 1 makes
 // signatures unique per face, so a duplicate means the file is corrupt
 // (or hand-edited): letting it through would leave two faces the
-// matcher cannot tell apart.
-func uniqueRows(codes []byte, nf, dim int) error {
-	keys := string(codes)
-	seen := make(map[string]int, nf)
+// matcher cannot tell apart. The rows are interned in place: the face
+// table's slab is codes itself, so face f's row appends onto itself.
+func uniqueRows(codes []int8, nf, dim int) error {
+	t := newFaceTable(dim, codes[:0:nf*dim], nf)
 	for f := range nf {
-		key := keys[f*dim : (f+1)*dim]
-		if prev, dup := seen[key]; dup {
-			return fmt.Errorf("faces %d and %d share a signature (corrupt division)", prev, f)
+		if id := t.intern(codes[f*dim : (f+1)*dim]); id != f {
+			return fmt.Errorf("faces %d and %d share a signature (corrupt division)", id, f)
 		}
-		seen[key] = f
+	}
+	return nil
+}
+
+// symmetricNeighbors rejects a neighbour link only one of its faces
+// lists. Links come from cell edges, so every division has symmetric
+// lists, and assemble shares each link's diff between its two faces.
+// Walking faces a in ascending order reaches each face b's lower
+// neighbours in b's own (ascending) order; next[b] counts those seen.
+func symmetricNeighbors(faces []Face) error {
+	next := make([]int, len(faces))
+	for a := range faces {
+		for _, b := range faces[a].Neighbors {
+			if b < a {
+				continue
+			}
+			if nb := faces[b].Neighbors; next[b] >= len(nb) || nb[next[b]] != a {
+				return fmt.Errorf("face %d lists neighbor %d, which does not list it back", a, b)
+			}
+			next[b]++
+		}
+	}
+	for b := range faces {
+		if nb := faces[b].Neighbors; next[b] < len(nb) && nb[next[b]] < b {
+			return fmt.Errorf("face %d lists neighbor %d, which does not list it back", b, nb[next[b]])
+		}
 	}
 	return nil
 }

@@ -38,38 +38,44 @@ type SigSoA struct {
 // uint64.
 func (s *SigSoA) deriveBitplanes() {
 	nf, dim := s.NumFaces, s.Dim
-	// −1 is the byte 0xFF, +1 is 0x01 and 0 is 0x00: the low bit marks a
-	// nonzero code and the top bit a negative one. Masking eight codes'
-	// low and top bits and multiplying by gather moves the eight
-	// per-byte flags into the top byte, in component order.
-	const (
-		lsb    = 0x0101010101010101
-		gather = 0x0102040810204080
-	)
 	s.PosBits = make([]uint64, nf*s.Words)
 	s.NegBits = make([]uint64, nf*s.Words)
 	for f := 0; f < nf; f++ {
 		row := s.Rows[f*dim : (f+1)*dim]
 		for w := 0; w < s.Words; w++ {
-			chunk := row[w*64 : min(w*64+64, dim)]
-			var p, n uint64
-			for g := 0; g < len(chunk); g += 8 {
-				var x uint64 // a short last group reads as zero codes
-				if g+8 <= len(chunk) {
-					x = load8(chunk[g:])
-				} else {
-					for i, c := range chunk[g:] {
-						x |= uint64(uint8(c)) << (8 * i)
-					}
-				}
-				lo, hi := x&lsb, x>>7&lsb
-				p |= (lo &^ hi) * gather >> 56 << g
-				n |= (lo & hi) * gather >> 56 << g
-			}
-			s.PosBits[f*s.Words+w] = p
-			s.NegBits[f*s.Words+w] = n
+			s.PosBits[f*s.Words+w], s.NegBits[f*s.Words+w] = planes64(row[w*64 : min(w*64+64, dim)])
 		}
 	}
+}
+
+// planes64 returns the positive and negative bitplanes of up to 64
+// codes. −1 is the byte 0xFF, +1 is 0x01 and 0 is 0x00: the low bit
+// marks a nonzero code and the top bit a negative one. Masking eight
+// codes' low and top bits and multiplying by gather moves the eight
+// per-byte flags into the top byte, in component order; each group
+// enters the planes from the top, so the planes shift right by a
+// constant and land in place after the last group.
+func planes64(chunk []int8) (p, n uint64) {
+	const (
+		lsb    = 0x0101010101010101
+		gather = 0x0102040810204080
+		top    = 0xFF << 56
+	)
+	g := 0
+	for ; g < len(chunk); g += 8 {
+		var x uint64 // a short last group reads as zero codes
+		if g+8 <= len(chunk) {
+			x = load8(chunk[g:])
+		} else {
+			for i, c := range chunk[g:] {
+				x |= uint64(uint8(c)) << (8 * (i & 7))
+			}
+		}
+		lo, hi := x&lsb, x>>7&lsb
+		p = p>>8 | (lo&^hi)*gather&top
+		n = n>>8 | (lo&hi)*gather&top
+	}
+	return p >> (64 - g), n >> (64 - g)
 }
 
 // load8 reads b[0:8] as a little-endian word (one 8-byte load).
@@ -94,6 +100,17 @@ func (s *SigSoA) ApproxBytes() int64 {
 		return 0
 	}
 	return int64(len(s.Rows)) + 8*(int64(len(s.PosBits))+int64(len(s.NegBits)))
+}
+
+// linkDiffLen counts the components faces a and b differ in.
+func (s *SigSoA) linkDiffLen(a, b int) int {
+	pa, na := s.FacePlanes(a)
+	pb, nb := s.FacePlanes(b)
+	n := 0
+	for w := range pa {
+		n += bits.OnesCount64((pa[w] ^ pb[w]) | (na[w] ^ nb[w]))
+	}
+	return n
 }
 
 // appendLinkDiff appends the components faces a and b differ in, in

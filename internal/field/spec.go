@@ -113,9 +113,10 @@ func (s Spec) Matches(d *Division) error {
 }
 
 // ApproxBytes estimates the division's resident memory: the raster, the
-// face records with their neighbor lists and per-link diffs, and the
-// signature store their Signature rows view. The estimate feeds the
-// fieldcache bytes gauge; it is deliberately cheap and approximate
+// face records with their neighbor lists and per-link diffs (a diff's
+// components are shared by the link's two faces, so they count once),
+// and the signature store their Signature rows view. The estimate feeds
+// the fieldcache bytes gauge; it is deliberately cheap and approximate
 // (slice headers are flat constants), not an exact accounting.
 func (d *Division) ApproxBytes() int64 {
 	const (
@@ -127,8 +128,11 @@ func (d *Division) ApproxBytes() int64 {
 		f := &d.Faces[i]
 		total += faceHeader
 		total += int64(len(f.Neighbors)) * ptrSize
-		for _, diff := range f.NeighborDiffs {
-			total += 24 + int64(len(diff))*ptrSize
+		for k, diff := range f.NeighborDiffs {
+			total += 24
+			if f.Neighbors[k] > i {
+				total += int64(len(diff)) * ptrSize
+			}
 		}
 	}
 	return total + d.soa.ApproxBytes()

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"fttt/internal/deploy"
@@ -437,4 +438,30 @@ func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSpillInput(t, data, "fuzz")
 	})
+}
+
+// TestLoadRejectsAsymmetricNeighbors drops one direction of a link, once
+// to a lower and once to a higher face: Divide only ever writes
+// symmetric lists, and the shared diffs rely on them, so Load must
+// refuse the file.
+func TestLoadRejectsAsymmetricNeighbors(t *testing.T) {
+	for _, drop := range []string{"lowest", "highest"} {
+		d, err := Divide(fieldRect, gridClassifier(t, 4, defaultC()), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &d.Faces[len(d.Faces)/2]
+		at := 0
+		if drop == "highest" {
+			at = len(f.Neighbors) - 1
+		}
+		if (drop == "lowest") != (f.Neighbors[at] < f.ID) {
+			t.Fatalf("face %d's %s neighbour is %d", f.ID, drop, f.Neighbors[at])
+		}
+		f.Neighbors = append(f.Neighbors[:at:at], f.Neighbors[at+1:]...)
+		b, _ := spillFile(t, d)
+		if _, err := Load(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "does not list it back") {
+			t.Errorf("dropping the %s neighbour of face %d: err %v", drop, f.ID, err)
+		}
+	}
 }

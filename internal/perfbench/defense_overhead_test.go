@@ -29,9 +29,11 @@ func TestDefenseOverheadBounded(t *testing.T) {
 	plain, defended := scenarioInstance(t, "core/localize"), scenarioInstance(t, "core/localize-defended")
 	benchTimeMu.Lock()
 	defer benchTimeMu.Unlock()
-	if err := setBenchTime(benchTime); err != nil {
+	restore, err := setBenchTime(benchTime)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer restore()
 	nsPerOp := func(inst *instance) float64 {
 		r := testing.Benchmark(inst.op)
 		if r.N == 0 {
@@ -63,6 +65,14 @@ func TestDefenseOverheadBounded(t *testing.T) {
 		if best <= bound {
 			return
 		}
+	}
+	if raceEnabled {
+		// The race detector instruments every memory access, and the
+		// defended round's evidence counters do more memory work per
+		// pair, so its instrumented cost grows by a larger factor than
+		// the plain round's: the bound holds only for uninstrumented
+		// code, which every non-race run still judges.
+		t.Skipf("race detector compiled in: ratio %.3f not judged against %.2f", best, bound)
 	}
 	t.Errorf("defense overhead ratio %.3f exceeds %.2f on every attempt", best, bound)
 }

@@ -2,6 +2,7 @@ package perfbench
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -202,5 +203,24 @@ func TestMedian(t *testing.T) {
 	median(in)
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
 		t.Error("median reordered its input")
+	}
+}
+
+// TestRunRestoresBenchTime pins that Run leaves testing's process-wide
+// -test.benchtime as it found it: Run sets the flag to its BenchTime,
+// and a benchmark that runs after it in the same binary must not
+// inherit that.
+func TestRunRestoresBenchTime(t *testing.T) {
+	bt := flag.Lookup("test.benchtime")
+	orig := bt.Value.String()
+	defer flag.Set("test.benchtime", orig)
+	if err := flag.Set("test.benchtime", "123ms"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{BenchTime: time.Millisecond, Reps: 1, Filter: regexp.MustCompile(`^vector/diff$`)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := bt.Value.String(); got != "123ms" {
+		t.Errorf("-test.benchtime after Run = %q, want 123ms", got)
 	}
 }

@@ -62,26 +62,35 @@ func (o Options) withDefaults() Options {
 var benchTimeMu sync.Mutex
 
 // setBenchTime points testing's -test.benchtime at d, registering the
-// testing flags first when running outside a test binary (fttt-perf).
-func setBenchTime(d time.Duration) error {
+// testing flags first when running outside a test binary (fttt-perf),
+// and returns the func that puts the flag's previous value back.
+func setBenchTime(d time.Duration) (restore func(), err error) {
 	if flag.Lookup("test.benchtime") == nil {
 		testing.Init()
 	}
-	return flag.Set("test.benchtime", d.String())
+	prev := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", d.String()); err != nil {
+		return nil, err
+	}
+	return func() { flag.Set("test.benchtime", prev) }, nil
 }
 
 // Run executes the (optionally filtered) scenario suite: per scenario,
 // Warmup discarded repetitions, then Reps measured testing.Benchmark
 // repetitions, then — when ProfileDir is set — one extra profiled
 // repetition. Fixtures are built once per scenario, outside every timed
-// region.
+// region. Run points testing's -test.benchtime at BenchTime while it
+// runs and restores the flag's value on return, so benchmarks that run
+// after it in the same binary keep their own benchtime.
 func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	benchTimeMu.Lock()
 	defer benchTimeMu.Unlock()
-	if err := setBenchTime(opts.BenchTime); err != nil {
+	restore, err := setBenchTime(opts.BenchTime)
+	if err != nil {
 		return nil, fmt.Errorf("perfbench: set benchtime: %w", err)
 	}
+	defer restore()
 
 	rep := &Report{Label: opts.Label, Reps: opts.Reps, BenchTimeNs: opts.BenchTime.Nanoseconds()}
 	hostMeta(rep)
